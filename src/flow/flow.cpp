@@ -18,21 +18,6 @@
 namespace secflow {
 namespace {
 
-class Stopwatch {
- public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  double lap_ms() {
-    const auto now = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(now - start_).count();
-    start_ = now;
-    return ms;
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// The clock net name of a mapped netlist (net driving flop CK pins), or
 /// empty for combinational designs.
 std::string clock_net_name(const Netlist& nl) {
@@ -46,107 +31,365 @@ std::string clock_net_name(const Netlist& nl) {
   return {};
 }
 
-/// Stage option structs whose thread count is on auto (0) inherit the
-/// flow-level Parallelism, so one knob controls the whole flow while an
-/// explicit per-stage setting still wins.
-FlowOptions resolve_parallelism(const FlowOptions& opts) {
+constexpr std::size_t stage_idx(FlowStage s) {
+  return static_cast<std::size_t>(s);
+}
+
+/// The options a run of `kind` actually uses.  Stage option structs whose
+/// thread count is on auto (0) inherit the flow-level Parallelism, so one
+/// knob controls the whole flow while an explicit per-stage setting still
+/// wins; the secure flow's synthesis is restricted to WDDL-supported gates
+/// unless the caller chose the cells.
+FlowOptions resolve_options(FlowKind kind, const FlowOptions& opts) {
   FlowOptions o = opts;
   if (o.place.parallelism.n_threads == 0) o.place.parallelism = o.parallelism;
   if (o.route.parallelism.n_threads == 0) o.route.parallelism = o.parallelism;
   if (o.extract.parallelism.n_threads == 0)
     o.extract.parallelism = o.parallelism;
+  if (kind == FlowKind::kSecure && o.synth.allowed_cells.empty()) {
+    o.synth = wddl_synth_constraints();
+  }
   return o;
 }
 
-std::size_t stage_idx(FlowStage s) { return static_cast<std::size_t>(s); }
+/// Everything one run threads through its stages.  Each stage reads what
+/// earlier stages left here and fills its own members; the entry points
+/// pack the state into their result types.
+struct FlowState {
+  FlowState(FlowKind k, const AigCircuit& c,
+            std::shared_ptr<const CellLibrary> lib, FlowOptions opts)
+      : kind(k), circuit(c), library(std::move(lib)), o(std::move(opts)) {}
 
-/// Per-run cache driver: records keys and outcomes in StageTimings, loads
-/// hits from the store, persists misses, and enforces resume_from (a stage
-/// before the resume point must hit — recomputing it would defeat the
-/// point of resuming).
-class StageCache {
- public:
-  StageCache(const FlowOptions& o, StageTimings& t) : o_(o), t_(t) {
-    if (!o.cache_dir.empty()) store_.emplace(o.cache_dir);
+  FlowKind kind;
+  const AigCircuit& circuit;
+  std::shared_ptr<const CellLibrary> library;
+  FlowOptions o;  ///< resolve_options() of the caller's options
+
+  std::optional<Netlist> rtl;
+  std::shared_ptr<WddlLibrary> wlib;
+  std::optional<Netlist> fat;   ///< secure only
+  std::optional<Netlist> diff;  ///< secure only
+  SubstitutionStats sub_stats;
+  LecResult lec;
+  LefLibrary lef;  ///< the placed library (fat_lib.lef when secure)
+  std::optional<DefDesign> layout;  ///< placed, then routed (fat.def)
+  RouteStats rs;
+  LefLibrary diff_lef;
+  std::optional<DefDesign> diff_def;
+  CheckResult stream_check;
+  Extraction ex;
+  CapTable caps;
+  TimingReport timing;
+  StageTimings t;
+
+  bool secure() const { return kind == FlowKind::kSecure; }
+  /// The netlist placement and routing see: fat.v (secure) or rtl.v.
+  const Netlist& placed() const { return secure() ? *fat : *rtl; }
+  /// The netlist extraction and the power model see.
+  const Netlist& final_netlist() const { return secure() ? *diff : *rtl; }
+  const DefDesign& final_def() const {
+    return secure() ? *diff_def : *layout;
   }
-
-  /// Cache lookup for stage `s` under `key`; the artifact on a hit.
-  std::optional<Artifact> begin(FlowStage s, std::uint64_t key) {
-    t_.cache_key[stage_idx(s)] = key;
-    if (!store_) {
-      t_.cache[stage_idx(s)] = CacheOutcome::kDisabled;
-      return std::nullopt;
-    }
-    std::optional<Artifact> a = store_->load(flow_stage_name(s), key);
-    if (a) {
-      t_.cache[stage_idx(s)] = CacheOutcome::kHit;
-      return a;
-    }
-    SECFLOW_CHECK(!before_resume(s),
-                  std::string("FlowOptions::resume_from: no cached ") +
-                      flow_stage_name(s) + " artifact in " + o_.cache_dir +
-                      " for key " + hash_hex(key) +
-                      " — run the upstream stages without resume_from first");
-    t_.cache[stage_idx(s)] = CacheOutcome::kMiss;
-    return std::nullopt;
-  }
-
-  /// Persist the artifact computed for a missed stage (no-op otherwise).
-  void finish(FlowStage s, Artifact a) {
-    if (!store_ || t_.cache[stage_idx(s)] != CacheOutcome::kMiss) return;
-    a.kind = flow_stage_name(s);
-    a.key = t_.cache_key[stage_idx(s)];
-    store_->save(a);
-  }
-
-  bool stop_after(FlowStage s) const {
-    return o_.stop_after && *o_.stop_after == s;
-  }
-
- private:
-  bool before_resume(FlowStage s) const {
-    return o_.resume_from && stage_idx(s) < stage_idx(*o_.resume_from);
-  }
-
-  const FlowOptions& o_;
-  StageTimings& t_;
-  std::optional<ArtifactStore> store_;
 };
 
-/// Span name of one pipeline stage (stable literals — Span keeps the
-/// pointer).
-const char* flow_span_name(FlowStage s) {
-  switch (s) {
-    case FlowStage::kSynthesis: return "flow.synthesis";
-    case FlowStage::kSubstitution: return "flow.substitution";
-    case FlowStage::kPlacement: return "flow.placement";
-    case FlowStage::kRouting: return "flow.routing";
-    case FlowStage::kDecomposition: return "flow.decomposition";
-    case FlowStage::kExtraction: return "flow.extraction";
+/// One stage of Fig 1.  The table below is the single definition of stage
+/// order, of which stages each flow kind runs, of each stage's key link and
+/// of each stage's checkpoint sections.
+struct StageDef {
+  FlowStage stage;
+  const char* name;  ///< flow_stage_name(): checkpoint kind and key-link tag
+  const char* span;  ///< trace span (a literal: Span keeps the pointer)
+  bool secure_only = false;
+  /// Folds the options that shape this stage's artifact into the key chain.
+  void (*link)(Hasher&, FlowKind, const FlowOptions&);
+  /// Rebuilds, on a hit as on a miss, inputs that are cheap to regenerate
+  /// and therefore never stored (LEF libraries); null when there are none.
+  void (*derive)(FlowState&) = nullptr;
+  void (*compute)(FlowState&);
+  Artifact (*save)(const FlowState&);
+  void (*load)(FlowState&, const Artifact&);
+
+  bool runs(FlowKind k) const { return !secure_only || k == FlowKind::kSecure; }
+};
+
+constexpr StageDef kStages[kNumFlowStages] = {
+    {.stage = FlowStage::kSynthesis,
+     .name = "synthesis",
+     .span = "flow.synthesis",
+     .link = [](Hasher& h, FlowKind, const FlowOptions& o) {
+       h.add(fingerprint(o.synth));
+     },
+     .compute = [](FlowState& f) {
+       f.rtl = technology_map(f.circuit, f.library, f.o.synth);
+       f.rtl->validate();
+     },
+     .save = [](const FlowState& f) {
+       Artifact a;
+       a.add("rtl.v", write_verilog(*f.rtl));
+       return a;
+     },
+     .load = [](FlowState& f, const Artifact& a) {
+       f.rtl = parse_verilog(a.section("rtl.v"), f.library);
+     }},
+
+    // Cell substitution: rtl.v -> fat.v + differential netlist, verified
+    // equivalent (LEC) before anything downstream consumes it.  The
+    // artifact carries the fat cell library too, so a hit can reparse fat.v
+    // without regenerating the compound inventory.
+    {.stage = FlowStage::kSubstitution,
+     .name = "substitution",
+     .span = "flow.substitution",
+     .secure_only = true,
+     .link = [](Hasher&, FlowKind, const FlowOptions&) {},
+     .compute = [](FlowState& f) {
+       f.wlib = std::make_shared<WddlLibrary>(f.library);
+       SubstitutionResult sub = substitute_cells(*f.rtl, *f.wlib);
+       f.fat = std::move(sub.fat);
+       f.sub_stats = sub.stats;
+       f.diff = expand_differential(*f.fat, *f.wlib);
+       f.lec = check_equivalence(*f.rtl, *f.fat);
+       SECFLOW_CHECK(f.lec.equivalent,
+                     "secure flow LEC failed: " +
+                         (f.lec.mismatches.empty()
+                              ? std::string("?")
+                              : f.lec.mismatches[0].what));
+     },
+     .save = [](const FlowState& f) {
+       Artifact a;
+       a.add("fat_lib", write_cell_library(f.fat->library()));
+       a.add("fat.v", write_verilog(*f.fat));
+       a.add("diff.v", write_verilog(*f.diff));
+       a.add("stats", write_substitution_stats(f.sub_stats));
+       a.add("lec", write_lec_result(f.lec));
+       return a;
+     },
+     .load = [](FlowState& f, const Artifact& a) {
+       std::shared_ptr<const CellLibrary> fat_lib =
+           std::make_shared<CellLibrary>(
+               parse_cell_library(a.section("fat_lib")));
+       f.fat = parse_verilog(a.section("fat.v"), fat_lib);
+       f.diff = parse_verilog(a.section("diff.v"), f.library);
+       f.sub_stats = parse_substitution_stats(a.section("stats"));
+       f.lec = parse_lec_result(a.section("lec"));
+     }},
+
+    {.stage = FlowStage::kPlacement,
+     .name = "placement",
+     .span = "flow.placement",
+     .link = [](Hasher& h, FlowKind k, const FlowOptions& o) {
+       h.add(fingerprint(o.place)).add(fingerprint(o.extract.process));
+       if (k == FlowKind::kSecure) h.add(o.shielded_pairs);
+     },
+     .derive = [](FlowState& f) {
+       // Fat wires: doubled pitch and width — tripled with shielded pairs,
+       // reserving a third track for the shield wire.
+       LefGenOptions gen{f.o.extract.process};
+       if (f.secure()) gen.wire_scale = f.o.shielded_pairs ? 3.0 : 2.0;
+       f.lef = generate_lef(f.placed().library(), gen);
+     },
+     .compute = [](FlowState& f) {
+       f.layout = place_design(f.placed(), f.lef, f.o.place);
+     },
+     .save = [](const FlowState& f) {
+       Artifact a;
+       a.add("placed.def", write_def(*f.layout));
+       return a;
+     },
+     .load = [](FlowState& f, const Artifact& a) {
+       f.layout = parse_def(a.section("placed.def"));
+     }},
+
+    {.stage = FlowStage::kRouting,
+     .name = "routing",
+     .span = "flow.routing",
+     .link = [](Hasher& h, FlowKind, const FlowOptions& o) {
+       h.add(fingerprint(o.route)).add(static_cast<int>(o.route_mode));
+     },
+     .compute = [](FlowState& f) {
+       f.rs = f.o.route_mode == RouteMode::kQuickLShaped
+                  ? route_design_quick(f.placed(), f.lef, *f.layout)
+                  : route_design(f.placed(), f.lef, *f.layout, f.o.route);
+     },
+     .save = [](const FlowState& f) {
+       Artifact a;
+       a.add("routed.def", write_def(*f.layout));
+       a.add("route_stats", write_route_stats(f.rs));
+       return a;
+     },
+     .load = [](FlowState& f, const Artifact& a) {
+       f.layout = parse_def(a.section("routed.def"));
+       f.rs = parse_route_stats(a.section("route_stats"));
+     }},
+
+    // Interconnect decomposition + stream-out verification with the
+    // differential library (the verdict rides in the checkpoint).
+    {.stage = FlowStage::kDecomposition,
+     .name = "decomposition",
+     .span = "flow.decomposition",
+     .secure_only = true,
+     .link = [](Hasher& h, FlowKind, const FlowOptions& o) {
+       const Process018& pr = o.extract.process;
+       h.add(pr.wire_pitch_um).add(pr.wire_width_um).add(o.shielded_pairs);
+     },
+     .derive = [](FlowState& f) {
+       const Process018& pr = f.o.extract.process;
+       f.diff_lef = make_diff_lef(f.lef, pr.wire_pitch_um, pr.wire_width_um);
+     },
+     .compute = [](FlowState& f) {
+       const Process018& pr = f.o.extract.process;
+       DecomposeOptions dopts;
+       dopts.add_shields = f.o.shielded_pairs;
+       const std::string clk = clock_net_name(*f.fat);
+       if (!clk.empty()) dopts.single_ended_nets.push_back(clk);
+       f.diff_def = decompose_interconnect(*f.layout,
+                                           um_to_dbu(pr.wire_pitch_um),
+                                           um_to_dbu(pr.wire_width_um), dopts);
+
+       // Stream-out verification (the paper's "importing the differential
+       // gate level netlist" check): rail symmetry plus per-rail pin
+       // connectivity against the differential LEF.
+       f.stream_check = check_differential_symmetry(
+           *f.diff_def, um_to_dbu(pr.wire_pitch_um));
+       SECFLOW_CHECK(f.stream_check.ok, "decomposition symmetry check failed");
+       const CheckResult rail_check = check_stream_out(
+           *f.fat, f.diff_lef, *f.diff_def, 5 * f.lef.track_pitch_dbu());
+       SECFLOW_CHECK(rail_check.ok,
+                     "stream-out rail connectivity check failed: " +
+                         (rail_check.issues.empty()
+                              ? std::string("?")
+                              : rail_check.issues[0].net + " " +
+                                    rail_check.issues[0].what));
+       f.stream_check.nets_checked += rail_check.nets_checked;
+       f.stream_check.pins_checked += rail_check.pins_checked;
+     },
+     .save = [](const FlowState& f) {
+       Artifact a;
+       a.add("diff.def", write_def(*f.diff_def));
+       a.add("stream_check", write_check_result(f.stream_check));
+       return a;
+     },
+     .load = [](FlowState& f, const Artifact& a) {
+       f.diff_def = parse_def(a.section("diff.def"));
+       f.stream_check = parse_check_result(a.section("stream_check"));
+     }},
+
+    // Extraction + switched-cap table + STA on the final layout.
+    {.stage = FlowStage::kExtraction,
+     .name = "extraction",
+     .span = "flow.extraction",
+     .link = [](Hasher& h, FlowKind, const FlowOptions& o) {
+       h.add(fingerprint(o.extract));
+     },
+     .compute = [](FlowState& f) {
+       f.ex = extract_parasitics(f.final_def(), f.final_netlist(), f.o.extract);
+       f.caps = build_cap_table(f.final_netlist(), f.ex);
+       f.timing = analyze_timing(f.final_netlist(), f.caps);
+     },
+     .save = [](const FlowState& f) {
+       Artifact a;
+       a.add("extraction", write_extraction(f.ex));
+       a.add("caps", write_cap_table(f.caps));
+       a.add("timing", write_timing_report(f.timing));
+       return a;
+     },
+     .load = [](FlowState& f, const Artifact& a) {
+       f.ex = parse_extraction(a.section("extraction"));
+       f.caps = parse_cap_table(a.section("caps"));
+       f.timing = parse_timing_report(a.section("timing"));
+     }},
+};
+
+static_assert(
+    [] {
+      for (int i = 0; i < kNumFlowStages; ++i) {
+        if (stage_idx(kStages[i].stage) != static_cast<std::size_t>(i)) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "kStages must be indexed by FlowStage");
+
+/// Runs the stage table for one flow kind.  Per stage: one span, one cache
+/// lookup, then load on a hit, or compute (and checkpoint, when caching) on
+/// a miss; stops after FlowOptions::stop_after.  A stage before resume_from
+/// must hit — recomputing it would defeat the point of resuming.
+FlowState run_flow(FlowKind kind, const AigCircuit& circuit,
+                   std::shared_ptr<const CellLibrary> library,
+                   const FlowOptions& opts) {
+  opts.validate();
+  for (const auto& [s, which] : {std::pair{opts.resume_from, "resume_from"},
+                                 std::pair{opts.stop_after, "stop_after"}}) {
+    if (!s) continue;
+    SECFLOW_CHECK(kStages[stage_idx(*s)].runs(kind),
+                  std::string("FlowOptions: ") + which + " = " +
+                      flow_stage_name(*s) + " names a secure-only stage; the " +
+                      flow_kind_name(kind) + " flow does not run it");
   }
-  return "flow.?";
+  FlowState f{kind, circuit, std::move(library), resolve_options(kind, opts)};
+  const FlowOptions& o = f.o;
+  if (o.log_level) Logger::global().set_level(*o.log_level);
+  f.t.n_threads = o.parallelism.resolved_threads();
+  Span flow_span(f.secure() ? "flow.secure" : "flow.regular", "flow");
+  flow_span.arg("design", circuit.name);
+  SECFLOW_LOG_INFO("flow",
+                   f.secure() ? "secure flow start" : "regular flow start",
+                   LogField("design", circuit.name),
+                   LogField("threads", f.t.n_threads));
+
+  // Cache-key chain: every stage key hashes the full upstream chain, so a
+  // changed early input re-keys (and re-runs) everything downstream while
+  // an unchanged prefix keeps hitting.
+  const auto keys = compute_stage_keys(kind, circuit, *f.library, o);
+  std::optional<ArtifactStore> store;
+  if (!o.cache_dir.empty()) store.emplace(o.cache_dir);
+  for (const StageDef& d : kStages) {
+    if (!d.runs(kind)) continue;
+    StageRecord& rec = f.t.stages[stage_idx(d.stage)];
+    rec.key = keys[stage_idx(d.stage)];
+    Span span(d.span, "flow");
+    const auto t0 = std::chrono::steady_clock::now();
+    if (d.derive) d.derive(f);
+    const std::optional<Artifact> hit =
+        store ? store->load(d.name, rec.key) : std::nullopt;
+    if (hit) {
+      rec.cache = CacheOutcome::kHit;
+      d.load(f, *hit);
+    } else {
+      SECFLOW_CHECK(!o.resume_from || d.stage >= *o.resume_from,
+                    std::string("FlowOptions::resume_from: no cached ") +
+                        d.name + " artifact in " + o.cache_dir + " for key " +
+                        hash_hex(rec.key) +
+                        " — run the upstream stages without resume_from "
+                        "first");
+      rec.cache = store ? CacheOutcome::kMiss : CacheOutcome::kDisabled;
+      d.compute(f);
+      if (store) {
+        Artifact a = d.save(f);
+        a.kind = d.name;
+        a.key = rec.key;
+        store->save(a);
+      }
+    }
+    rec.ms = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - t0)
+                 .count();
+    const char* outcome = cache_outcome_name(rec.cache);
+    span.arg("cache", outcome);
+    span.arg("key", hash_hex(rec.key));
+    SECFLOW_LOG_INFO("flow", "stage done", LogField("stage", d.name),
+                     LogField("ms", rec.ms), LogField("cache", outcome));
+    if (o.stop_after == d.stage) break;
+  }
+  return f;
 }
 
-/// Close out one executed stage: record its wall time, attach the cache
-/// verdict to the stage span, and emit one info log line.
-void finish_stage(FlowStage s, Span& span, Stopwatch& sw, StageTimings& t,
-                  double& ms_slot) {
-  ms_slot = sw.lap_ms();
-  const char* outcome = cache_outcome_name(t.outcome(s));
-  span.arg("cache", outcome);
-  if (t.key(s) != 0) span.arg("key", hash_hex(t.key(s)));
-  SECFLOW_LOG_INFO("flow", "stage done",
-                   LogField("stage", flow_stage_name(s)),
-                   LogField("ms", ms_slot), LogField("cache", outcome));
-}
+/// The evaluate half-cycle every WDDL evaluation wave must settle within:
+/// the masters capture at the falling edge of the nominal clock.
+double evaluate_half_cycle_ps() { return SamplingSpec{}.cycle_s() * 1e12 / 2; }
 
-void reject_secure_only_stage(const std::optional<FlowStage>& s,
-                              const char* which) {
-  if (!s) return;
-  SECFLOW_CHECK(
-      *s != FlowStage::kSubstitution && *s != FlowStage::kDecomposition,
-      std::string("FlowOptions: ") + which + " = " + flow_stage_name(*s) +
-          " names a secure-only stage; the regular flow does not run it");
+FlowStage completed_through(const FlowOptions& o) {
+  return o.stop_after.value_or(FlowStage::kExtraction);
 }
 
 Netlist take_netlist(std::optional<Netlist>&& n,
@@ -182,15 +425,7 @@ const char* flow_kind_name(FlowKind k) {
 }
 
 const char* flow_stage_name(FlowStage s) {
-  switch (s) {
-    case FlowStage::kSynthesis: return "synthesis";
-    case FlowStage::kSubstitution: return "substitution";
-    case FlowStage::kPlacement: return "placement";
-    case FlowStage::kRouting: return "routing";
-    case FlowStage::kDecomposition: return "decomposition";
-    case FlowStage::kExtraction: return "extraction";
-  }
-  return "?";
+  return stage_idx(s) < std::size(kStages) ? kStages[stage_idx(s)].name : "?";
 }
 
 const char* cache_outcome_name(CacheOutcome c) {
@@ -203,27 +438,21 @@ const char* cache_outcome_name(CacheOutcome c) {
   return "?";
 }
 
-double StageTimings::stage_ms(FlowStage s) const {
-  switch (s) {
-    case FlowStage::kSynthesis: return synthesis_ms;
-    case FlowStage::kSubstitution: return substitution_ms;
-    case FlowStage::kPlacement: return place_ms;
-    case FlowStage::kRouting: return route_ms;
-    case FlowStage::kDecomposition: return decomposition_ms;
-    case FlowStage::kExtraction: return extraction_ms;
-  }
-  return 0.0;
+double StageTimings::total_ms() const {
+  double ms = 0.0;
+  for (const StageRecord& r : stages) ms += r.ms;
+  return ms;
 }
 
 int StageTimings::cache_hits() const {
   int n = 0;
-  for (const CacheOutcome c : cache) n += (c == CacheOutcome::kHit) ? 1 : 0;
+  for (const StageRecord& r : stages) n += r.cache == CacheOutcome::kHit;
   return n;
 }
 
 int StageTimings::cache_misses() const {
   int n = 0;
-  for (const CacheOutcome c : cache) n += (c == CacheOutcome::kMiss) ? 1 : 0;
+  for (const StageRecord& r : stages) n += r.cache == CacheOutcome::kMiss;
   return n;
 }
 
@@ -283,10 +512,7 @@ void FlowOptions::validate() const {
 std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
     FlowKind kind, const AigCircuit& circuit, const CellLibrary& library,
     const FlowOptions& opts) {
-  const bool secure = kind == FlowKind::kSecure;
-  SynthConstraints synth = opts.synth;
-  if (secure && synth.allowed_cells.empty()) synth = wddl_synth_constraints();
-
+  const FlowOptions o = resolve_options(kind, opts);
   std::array<std::uint64_t, kNumFlowStages> keys{};
   std::uint64_t chain = Hasher()
                             .add(kCkptFormatVersion)
@@ -294,47 +520,13 @@ std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
                             .add(fingerprint(circuit))
                             .add(fingerprint(library))
                             .digest();
-  chain = Hasher().add(chain).add("synthesis").add(fingerprint(synth))
-              .digest();
-  keys[stage_idx(FlowStage::kSynthesis)] = chain;
-
-  if (secure) {
-    chain = Hasher().add(chain).add("substitution").digest();
-    keys[stage_idx(FlowStage::kSubstitution)] = chain;
+  for (const StageDef& d : kStages) {
+    if (!d.runs(kind)) continue;
+    Hasher h;
+    h.add(chain).add(d.name);
+    d.link(h, kind, o);
+    chain = keys[stage_idx(d.stage)] = h.digest();
   }
-
-  Hasher place_h;
-  place_h.add(chain)
-      .add("placement")
-      .add(fingerprint(opts.place))
-      .add(fingerprint(opts.extract.process));
-  if (secure) place_h.add(opts.shielded_pairs);
-  chain = place_h.digest();
-  keys[stage_idx(FlowStage::kPlacement)] = chain;
-
-  chain = Hasher()
-              .add(chain)
-              .add("routing")
-              .add(fingerprint(opts.route))
-              .add(static_cast<int>(opts.route_mode))
-              .digest();
-  keys[stage_idx(FlowStage::kRouting)] = chain;
-
-  if (secure) {
-    const Process018& pr = opts.extract.process;
-    chain = Hasher()
-                .add(chain)
-                .add("decomposition")
-                .add(pr.wire_pitch_um)
-                .add(pr.wire_width_um)
-                .add(opts.shielded_pairs)
-                .digest();
-    keys[stage_idx(FlowStage::kDecomposition)] = chain;
-  }
-
-  chain = Hasher().add(chain).add("extraction").add(fingerprint(opts.extract))
-              .digest();
-  keys[stage_idx(FlowStage::kExtraction)] = chain;
   return keys;
 }
 
@@ -360,334 +552,38 @@ CompiledSimModel compile_power_model(const SecureFlowResult& result,
 RegularFlowResult run_regular_flow(const AigCircuit& circuit,
                                    std::shared_ptr<const CellLibrary> library,
                                    const FlowOptions& opts) {
-  opts.validate();
-  reject_secure_only_stage(opts.resume_from, "resume_from");
-  reject_secure_only_stage(opts.stop_after, "stop_after");
-  const FlowOptions o = resolve_parallelism(opts);
-  if (o.log_level) Logger::global().set_level(*o.log_level);
-  Stopwatch sw;
-  StageTimings t;
-  t.n_threads = o.parallelism.resolved_threads();
-  StageCache cache(o, t);
-  Span flow_span("flow.regular", "flow");
-  flow_span.arg("design", circuit.name);
-  SECFLOW_LOG_INFO("flow", "regular flow start",
-                   LogField("design", circuit.name),
-                   LogField("threads", t.n_threads));
-
-  // Cache-key chain: every stage key hashes the full upstream chain, so a
-  // changed early input re-keys (and re-runs) everything downstream while
-  // an unchanged prefix keeps hitting.  compute_stage_keys is the single
-  // source of truth for the chain (the campaign scheduler keys off it too).
-  const auto keys = compute_stage_keys(FlowKind::kRegular, circuit, *library, o);
-  const auto key_of = [&keys](FlowStage s) { return keys[stage_idx(s)]; };
-
-  // Logic synthesis -> rtl.v.
-  std::optional<Netlist> rtl;
-  {
-    Span span(flow_span_name(FlowStage::kSynthesis), "flow");
-    if (const auto a = cache.begin(FlowStage::kSynthesis,
-                                   key_of(FlowStage::kSynthesis))) {
-      rtl = parse_verilog(a->section("rtl.v"), library);
-    } else {
-      rtl = technology_map(circuit, library, o.synth);
-      rtl->validate();
-      Artifact out;
-      out.add("rtl.v", write_verilog(*rtl));
-      cache.finish(FlowStage::kSynthesis, std::move(out));
-    }
-    finish_stage(FlowStage::kSynthesis, span, sw, t, t.synthesis_ms);
-  }
-  bool done = cache.stop_after(FlowStage::kSynthesis);
-
-  // Placement.
-  LefLibrary lef;
-  std::optional<DefDesign> def;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kPlacement), "flow");
-    lef = generate_lef(*library, LefGenOptions{o.extract.process});
-    if (const auto a = cache.begin(FlowStage::kPlacement,
-                                   key_of(FlowStage::kPlacement))) {
-      def = parse_def(a->section("placed.def"));
-    } else {
-      def = place_design(*rtl, lef, o.place);
-      Artifact out;
-      out.add("placed.def", write_def(*def));
-      cache.finish(FlowStage::kPlacement, std::move(out));
-    }
-    finish_stage(FlowStage::kPlacement, span, sw, t, t.place_ms);
-    done = cache.stop_after(FlowStage::kPlacement);
-  }
-
-  // Routing.
-  RouteStats rs;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kRouting), "flow");
-    if (const auto a = cache.begin(FlowStage::kRouting,
-                                   key_of(FlowStage::kRouting))) {
-      def = parse_def(a->section("routed.def"));
-      rs = parse_route_stats(a->section("route_stats"));
-    } else {
-      rs = o.route_mode == RouteMode::kQuickLShaped
-               ? route_design_quick(*rtl, lef, *def)
-               : route_design(*rtl, lef, *def, o.route);
-      Artifact out;
-      out.add("routed.def", write_def(*def));
-      out.add("route_stats", write_route_stats(rs));
-      cache.finish(FlowStage::kRouting, std::move(out));
-    }
-    finish_stage(FlowStage::kRouting, span, sw, t, t.route_ms);
-    done = cache.stop_after(FlowStage::kRouting);
-  }
-
-  // Extraction + switched-cap table + STA.
-  Extraction ex;
-  CapTable caps;
-  TimingReport timing;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kExtraction), "flow");
-    if (const auto a = cache.begin(FlowStage::kExtraction,
-                                   key_of(FlowStage::kExtraction))) {
-      ex = parse_extraction(a->section("extraction"));
-      caps = parse_cap_table(a->section("caps"));
-      timing = parse_timing_report(a->section("timing"));
-    } else {
-      ex = extract_parasitics(*def, *rtl, o.extract);
-      caps = build_cap_table(*rtl, ex);
-      timing = analyze_timing(*rtl, caps);
-      Artifact out;
-      out.add("extraction", write_extraction(ex));
-      out.add("caps", write_cap_table(caps));
-      out.add("timing", write_timing_report(timing));
-      cache.finish(FlowStage::kExtraction, std::move(out));
-    }
-    finish_stage(FlowStage::kExtraction, span, sw, t, t.extraction_ms);
-  }
-
-  const FlowStage completed = o.stop_after.value_or(FlowStage::kExtraction);
-  return RegularFlowResult{{std::move(*rtl), std::move(lef),
-                            take_def(std::move(def)), rs, std::move(ex),
-                            std::move(caps), t, std::move(timing),
-                            completed}};
+  FlowState f = run_flow(FlowKind::kRegular, circuit, std::move(library), opts);
+  return RegularFlowResult{{std::move(*f.rtl), std::move(f.lef),
+                            take_def(std::move(f.layout)), f.rs,
+                            std::move(f.ex), std::move(f.caps), f.t,
+                            std::move(f.timing), completed_through(f.o)}};
 }
 
 SecureFlowResult run_secure_flow(const AigCircuit& circuit,
                                  std::shared_ptr<const CellLibrary> library,
                                  const FlowOptions& opts) {
-  opts.validate();
-  Stopwatch sw;
-  StageTimings t;
-
-  FlowOptions o = resolve_parallelism(opts);
-  if (o.log_level) Logger::global().set_level(*o.log_level);
-  t.n_threads = o.parallelism.resolved_threads();
-  if (o.synth.allowed_cells.empty()) o.synth = wddl_synth_constraints();
-  StageCache cache(o, t);
-  Span flow_span("flow.secure", "flow");
-  flow_span.arg("design", circuit.name);
-  SECFLOW_LOG_INFO("flow", "secure flow start",
-                   LogField("design", circuit.name),
-                   LogField("threads", t.n_threads));
-
-  const auto keys = compute_stage_keys(FlowKind::kSecure, circuit, *library, o);
-  const auto key_of = [&keys](FlowStage s) { return keys[stage_idx(s)]; };
-
-  // Logic synthesis, restricted to WDDL-supported gates.
-  std::optional<Netlist> rtl;
-  {
-    Span span(flow_span_name(FlowStage::kSynthesis), "flow");
-    if (const auto a = cache.begin(FlowStage::kSynthesis,
-                                   key_of(FlowStage::kSynthesis))) {
-      rtl = parse_verilog(a->section("rtl.v"), library);
-    } else {
-      rtl = technology_map(circuit, library, o.synth);
-      rtl->validate();
-      Artifact out;
-      out.add("rtl.v", write_verilog(*rtl));
-      cache.finish(FlowStage::kSynthesis, std::move(out));
-    }
-    finish_stage(FlowStage::kSynthesis, span, sw, t, t.synthesis_ms);
-  }
-  bool done = cache.stop_after(FlowStage::kSynthesis);
-
-  // Cell substitution: rtl.v -> fat.v + differential netlist, verified
-  // equivalent (LEC) before anything downstream consumes it.  The artifact
-  // carries the fat cell library too, so a hit can reparse fat.v without
-  // regenerating the compound inventory.
-  std::shared_ptr<WddlLibrary> wlib;
-  std::optional<Netlist> fat;
-  std::optional<Netlist> diff;
-  SubstitutionStats sub_stats;
-  LecResult lec;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kSubstitution), "flow");
-    if (const auto a = cache.begin(FlowStage::kSubstitution,
-                                   key_of(FlowStage::kSubstitution))) {
-      std::shared_ptr<const CellLibrary> fat_lib =
-          std::make_shared<CellLibrary>(
-              parse_cell_library(a->section("fat_lib")));
-      fat = parse_verilog(a->section("fat.v"), fat_lib);
-      diff = parse_verilog(a->section("diff.v"), library);
-      sub_stats = parse_substitution_stats(a->section("stats"));
-      lec = parse_lec_result(a->section("lec"));
-    } else {
-      wlib = std::make_shared<WddlLibrary>(library);
-      SubstitutionResult sub = substitute_cells(*rtl, *wlib);
-      fat = std::move(sub.fat);
-      sub_stats = sub.stats;
-      diff = expand_differential(*fat, *wlib);
-      lec = check_equivalence(*rtl, *fat);
-      SECFLOW_CHECK(lec.equivalent,
-                    "secure flow LEC failed: " +
-                        (lec.mismatches.empty() ? std::string("?")
-                                                : lec.mismatches[0].what));
-      Artifact out;
-      out.add("fat_lib", write_cell_library(fat->library()));
-      out.add("fat.v", write_verilog(*fat));
-      out.add("diff.v", write_verilog(*diff));
-      out.add("stats", write_substitution_stats(sub_stats));
-      out.add("lec", write_lec_result(lec));
-      cache.finish(FlowStage::kSubstitution, std::move(out));
-    }
-    finish_stage(FlowStage::kSubstitution, span, sw, t, t.substitution_ms);
-    done = done || cache.stop_after(FlowStage::kSubstitution);
-  }
-
-  // Fat place: doubled pitch and width — tripled with shielded pairs,
-  // reserving a third track for the shield wire.
-  LefLibrary fat_lef;
-  std::optional<DefDesign> fat_def;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kPlacement), "flow");
-    LefGenOptions fat_gen{o.extract.process};
-    fat_gen.wire_scale = o.shielded_pairs ? 3.0 : 2.0;
-    fat_lef = generate_lef(fat->library(), fat_gen);
-    if (const auto a = cache.begin(FlowStage::kPlacement,
-                                   key_of(FlowStage::kPlacement))) {
-      fat_def = parse_def(a->section("placed.def"));
-    } else {
-      fat_def = place_design(*fat, fat_lef, o.place);
-      Artifact out;
-      out.add("placed.def", write_def(*fat_def));
-      cache.finish(FlowStage::kPlacement, std::move(out));
-    }
-    finish_stage(FlowStage::kPlacement, span, sw, t, t.place_ms);
-    done = cache.stop_after(FlowStage::kPlacement);
-  }
-
-  // Fat route.
-  RouteStats rs;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kRouting), "flow");
-    if (const auto a = cache.begin(FlowStage::kRouting,
-                                   key_of(FlowStage::kRouting))) {
-      fat_def = parse_def(a->section("routed.def"));
-      rs = parse_route_stats(a->section("route_stats"));
-    } else {
-      rs = o.route_mode == RouteMode::kQuickLShaped
-               ? route_design_quick(*fat, fat_lef, *fat_def)
-               : route_design(*fat, fat_lef, *fat_def, o.route);
-      Artifact out;
-      out.add("routed.def", write_def(*fat_def));
-      out.add("route_stats", write_route_stats(rs));
-      cache.finish(FlowStage::kRouting, std::move(out));
-    }
-    finish_stage(FlowStage::kRouting, span, sw, t, t.route_ms);
-    done = cache.stop_after(FlowStage::kRouting);
-  }
-
-  // Interconnect decomposition + stream-out verification with the
-  // differential library (re-verified results ride in the checkpoint).
-  const Process018& pr = o.extract.process;
-  LefLibrary diff_lef;
-  std::optional<DefDesign> diff_def;
-  CheckResult stream_check;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kDecomposition), "flow");
-    diff_lef = make_diff_lef(fat_lef, pr.wire_pitch_um, pr.wire_width_um);
-    if (const auto a = cache.begin(FlowStage::kDecomposition,
-                                   key_of(FlowStage::kDecomposition))) {
-      diff_def = parse_def(a->section("diff.def"));
-      stream_check = parse_check_result(a->section("stream_check"));
-    } else {
-      DecomposeOptions dopts;
-      dopts.add_shields = o.shielded_pairs;
-      const std::string clk = clock_net_name(*fat);
-      if (!clk.empty()) dopts.single_ended_nets.push_back(clk);
-      diff_def = decompose_interconnect(*fat_def, um_to_dbu(pr.wire_pitch_um),
-                                        um_to_dbu(pr.wire_width_um), dopts);
-
-      // Stream-out verification (the paper's "importing the differential
-      // gate level netlist" check): rail symmetry plus per-rail pin
-      // connectivity against the differential LEF.
-      stream_check = check_differential_symmetry(
-          *diff_def, um_to_dbu(pr.wire_pitch_um));
-      SECFLOW_CHECK(stream_check.ok, "decomposition symmetry check failed");
-      const CheckResult rail_check = check_stream_out(
-          *fat, diff_lef, *diff_def, 5 * fat_lef.track_pitch_dbu());
-      SECFLOW_CHECK(rail_check.ok,
-                    "stream-out rail connectivity check failed: " +
-                        (rail_check.issues.empty()
-                             ? std::string("?")
-                             : rail_check.issues[0].net + " " +
-                                   rail_check.issues[0].what));
-      stream_check.nets_checked += rail_check.nets_checked;
-      stream_check.pins_checked += rail_check.pins_checked;
-
-      Artifact out;
-      out.add("diff.def", write_def(*diff_def));
-      out.add("stream_check", write_check_result(stream_check));
-      cache.finish(FlowStage::kDecomposition, std::move(out));
-    }
-    finish_stage(FlowStage::kDecomposition, span, sw, t, t.decomposition_ms);
-    done = cache.stop_after(FlowStage::kDecomposition);
-  }
-
-  // Extraction + switched-cap table + STA on the differential design.
-  Extraction ex;
-  CapTable caps;
-  TimingReport timing;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kExtraction), "flow");
-    if (const auto a = cache.begin(FlowStage::kExtraction,
-                                   key_of(FlowStage::kExtraction))) {
-      ex = parse_extraction(a->section("extraction"));
-      caps = parse_cap_table(a->section("caps"));
-      timing = parse_timing_report(a->section("timing"));
-    } else {
-      ex = extract_parasitics(*diff_def, *diff, o.extract);
-      caps = build_cap_table(*diff, ex);
-      timing = analyze_timing(*diff, caps);
-      Artifact out;
-      out.add("extraction", write_extraction(ex));
-      out.add("caps", write_cap_table(caps));
-      out.add("timing", write_timing_report(timing));
-      cache.finish(FlowStage::kExtraction, std::move(out));
-    }
-    finish_stage(FlowStage::kExtraction, span, sw, t, t.extraction_ms);
-
-    // The evaluate wave must settle within the first half cycle so the
-    // WDDL masters capture valid differential data at the falling edge.
-    // Cheap, so re-checked even when the timing came from the cache.
-    const double half_cycle_ps = SamplingSpec{}.cycle_s() * 1e12 / 2;
-    SECFLOW_CHECK(timing.critical_delay_ps < half_cycle_ps,
+  FlowState f = run_flow(FlowKind::kSecure, circuit, std::move(library), opts);
+  // The evaluate wave must settle within the first half cycle so the WDDL
+  // masters capture valid differential data at the falling edge.  Cheap,
+  // so re-checked even when the timing came from the cache.
+  if (f.t.outcome(FlowStage::kExtraction) != CacheOutcome::kNotRun) {
+    SECFLOW_CHECK(f.timing.critical_delay_ps < evaluate_half_cycle_ps(),
                   "WDDL evaluation (" +
-                      std::to_string(timing.critical_delay_ps) +
+                      std::to_string(f.timing.critical_delay_ps) +
                       " ps) does not fit the evaluate half-cycle");
   }
-
-  const FlowStage completed = o.stop_after.value_or(FlowStage::kExtraction);
   return SecureFlowResult{
-      {std::move(*rtl), std::move(diff_lef), take_def(std::move(diff_def)),
-       rs, std::move(ex), std::move(caps), t, std::move(timing), completed},
-      wlib,
-      take_netlist(std::move(fat), library),
-      take_netlist(std::move(diff), library),
-      std::move(fat_lef),
-      take_def(std::move(fat_def)),
-      sub_stats,
-      lec,
-      stream_check};
+      {std::move(*f.rtl), std::move(f.diff_lef),
+       take_def(std::move(f.diff_def)), f.rs, std::move(f.ex),
+       std::move(f.caps), f.t, std::move(f.timing), completed_through(f.o)},
+      f.wlib,
+      take_netlist(std::move(f.fat), f.library),
+      take_netlist(std::move(f.diff), f.library),
+      std::move(f.lef),
+      take_def(std::move(f.layout)),
+      f.sub_stats,
+      f.lec,
+      f.stream_check};
 }
 
 namespace {
@@ -762,7 +658,8 @@ std::string flow_report(const SecureFlowResult& r) {
   os << "  LEC:         " << (r.lec.equivalent ? "pass" : "FAIL") << " ("
      << r.lec.compared_points << " points)\n";
   os << "  eval timing: " << r.timing.critical_delay_ps
-     << " ps critical (half-cycle budget 4000 ps)\n";
+     << " ps critical (half-cycle budget " << evaluate_half_cycle_ps()
+     << " ps)\n";
   return os.str();
 }
 

@@ -141,34 +141,29 @@ std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
     FlowKind kind, const AigCircuit& circuit, const CellLibrary& library,
     const FlowOptions& opts);
 
+/// One stage of one run.
+struct StageRecord {
+  double ms = 0.0;  ///< wall time; on a kHit, deserialization, not computation
+  CacheOutcome cache = CacheOutcome::kNotRun;
+  std::uint64_t key = 0;  ///< checkpoint content address (0: never ran)
+};
+
 struct StageTimings {
-  double synthesis_ms = 0.0;
-  double substitution_ms = 0.0;   // secure flow only
-  double place_ms = 0.0;
-  double route_ms = 0.0;
-  double decomposition_ms = 0.0;  // secure flow only
-  double extraction_ms = 0.0;
+  /// Indexed by FlowStage.
+  std::array<StageRecord, kNumFlowStages> stages{};
   /// Threads the flow's parallel stages resolved to (1 = serial).
   int n_threads = 1;
-  /// Per-stage cache verdict, indexed by FlowStage.  On a kHit the stage's
-  /// *_ms above measures deserialization, not computation.
-  std::array<CacheOutcome, kNumFlowStages> cache{};
-  /// Per-stage cache keys (0 for stages that never ran), indexed by
-  /// FlowStage — the content addresses the checkpoint files live under.
-  std::array<std::uint64_t, kNumFlowStages> cache_key{};
 
-  double total_ms() const {
-    return synthesis_ms + substitution_ms + place_ms + route_ms +
-           decomposition_ms + extraction_ms;
+  double stage_ms(FlowStage s) const {
+    return stages[static_cast<std::size_t>(s)].ms;
   }
   CacheOutcome outcome(FlowStage s) const {
-    return cache[static_cast<std::size_t>(s)];
+    return stages[static_cast<std::size_t>(s)].cache;
   }
-  /// Wall time of one stage (the *_ms field matching `s`).
-  double stage_ms(FlowStage s) const;
   std::uint64_t key(FlowStage s) const {
-    return cache_key[static_cast<std::size_t>(s)];
+    return stages[static_cast<std::size_t>(s)].key;
   }
+  double total_ms() const;
   int cache_hits() const;
   int cache_misses() const;
 };

@@ -558,22 +558,19 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
       t.path = std::move(r.path);
     };
 
-    // Batch-parallel routing: each batch's nets have pairwise-disjoint
-    // windows, so routing them concurrently reads/writes disjoint node
-    // sets and the committed result is bit-identical to routing them one
-    // by one.  Commit happens serially in batch order after the join.
     const auto route_one = [&](std::size_t pi) {
       return route_net_pass(g, tasks[pending[pi]], windows[pi], opts,
                             usage, history, owner, iter);
     };
     if (opts.incremental) {
-      // Rip every pending net before any search starts, so the usage the
-      // searches read is independent of the order within this iteration
-      // and the whole iteration routes against one clean snapshot.  Nets
-      // take their simultaneous shortest paths and negotiate purely
-      // through history — which keeps the converged geometry straight and
-      // loosely packed, a property the differential decomposition's rail
-      // balance depends on (DESIGN.md §15).
+      // Rip every pending net before any search starts, so no search sees
+      // a pending net's old path.  The batches then run in order, each
+      // committing before the next one searches, and the serial tail
+      // searches against the usage all batches left.  Nets that search
+      // together (one batch, or the tail) do not see each other's new
+      // paths and negotiate through history — which keeps the converged
+      // geometry straight and loosely packed, a property the differential
+      // decomposition's rail balance depends on (DESIGN.md §15).
       for (std::size_t ti : pending) rip(tasks[ti]);
 
       // Batch-parallel routing: each batch's nets have pairwise-disjoint
@@ -602,9 +599,9 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
         }
       }
       if (!plan.serial_tail.empty()) {
-        // The tail routes against the same pre-rip snapshot as the
-        // batches (routes first, commits after), so whether a net landed
-        // in a batch or the tail does not change what its search sees.
+        // Every tail net searches against the usage left after all
+        // batches committed; the tail commits only after its last search,
+        // so tail nets do not see each other's new paths.
         Span tail_span("route.serial_tail", "pnr");
         tail_span.arg("nets", static_cast<int>(plan.serial_tail.size()));
         std::vector<PassResult> results;

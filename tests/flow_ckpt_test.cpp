@@ -18,6 +18,8 @@
 #include "netlist/verilog_writer.h"
 #include "synth/hdl.h"
 
+#include "flow_designs.h"
+
 namespace secflow {
 namespace {
 
@@ -51,7 +53,7 @@ void expect_outcomes(const StageTimings& t,
                      const std::array<CacheOutcome, kNumFlowStages>& want,
                      const char* ctx) {
   for (int i = 0; i < kNumFlowStages; ++i) {
-    EXPECT_EQ(t.cache[i], want[i])
+    EXPECT_EQ(t.stages[i].cache, want[i])
         << ctx << ": stage " << flow_stage_name(static_cast<FlowStage>(i));
   }
 }
@@ -221,7 +223,7 @@ TEST_F(FlowCkpt, StopAfterThenResumeReproducesTheFullRun) {
   EXPECT_EQ(ArtifactStore(dir.string()).size(), 3u);
   // Later-stage artifacts are placeholders.
   EXPECT_TRUE(head.def.nets.empty());
-  EXPECT_EQ(head.timings.route_ms, 0.0);
+  EXPECT_EQ(head.timings.stage_ms(FlowStage::kRouting), 0.0);
   EXPECT_EQ(head.timings.key(FlowStage::kRouting), 0u);
   // The checkpointed prefix matches the full run's: same placement key,
   // and byte-identical placed.def (cold_->fat_def itself was later mutated
@@ -293,6 +295,42 @@ TEST_F(FlowCkpt, RegularFlowRejectsSecureOnlyStages) {
   opts.stop_after.reset();
   opts.resume_from = FlowStage::kDecomposition;
   EXPECT_THROW(run_regular_flow(*circuit_, lib_, opts), Error);
+}
+
+TEST_F(FlowCkpt, RunsRecordTheKeysComputeStageKeysPredicts) {
+  // compute_stage_keys is the single source of the key chain: the campaign
+  // scheduler plans shared checkpoints with it, and readers outside the
+  // flow look checkpoints up by it.  A run must record exactly those keys,
+  // and 0 for every stage it does not run.
+  const FlowOptions full;
+  FlowOptions head;
+  head.stop_after = FlowStage::kPlacement;
+  for (const char* hdl : {kSmallDesign, kSeqRstDesign}) {
+    const AigCircuit c = parse_hdl(hdl);
+    for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
+      const auto run = [&](const FlowOptions& o) {
+        return kind == FlowKind::kSecure ? run_secure_flow(c, lib_, o).timings
+                                         : run_regular_flow(c, lib_, o).timings;
+      };
+      const auto want = compute_stage_keys(kind, c, *lib_, full);
+      const StageTimings t = run(full);
+      const StageTimings h = run(head);
+      for (int i = 0; i < kNumFlowStages; ++i) {
+        const FlowStage s = static_cast<FlowStage>(i);
+        const std::string ctx = c.name + "." + flow_kind_name(kind) + "." +
+                                flow_stage_name(s);
+        const bool secure_only = s == FlowStage::kSubstitution ||
+                                 s == FlowStage::kDecomposition;
+        if (kind == FlowKind::kRegular && secure_only) {
+          EXPECT_EQ(want[i], 0u) << ctx;
+        } else {
+          EXPECT_NE(want[i], 0u) << ctx;
+        }
+        EXPECT_EQ(t.key(s), want[i]) << ctx;
+        EXPECT_EQ(h.key(s), s <= FlowStage::kPlacement ? want[i] : 0u) << ctx;
+      }
+    }
+  }
 }
 
 TEST_F(FlowCkpt, UncachedRunsReportDisabled) {

@@ -202,11 +202,11 @@ TEST(FlowStageApi, NamesAndCounters) {
   EXPECT_EQ(t.cache_misses(), 0);
   EXPECT_EQ(t.outcome(FlowStage::kRouting), CacheOutcome::kNotRun);
   EXPECT_EQ(t.key(FlowStage::kRouting), 0u);
-  t.cache[static_cast<std::size_t>(FlowStage::kSynthesis)] =
+  t.stages[static_cast<std::size_t>(FlowStage::kSynthesis)].cache =
       CacheOutcome::kHit;
-  t.cache[static_cast<std::size_t>(FlowStage::kPlacement)] =
+  t.stages[static_cast<std::size_t>(FlowStage::kPlacement)].cache =
       CacheOutcome::kMiss;
-  t.cache[static_cast<std::size_t>(FlowStage::kRouting)] =
+  t.stages[static_cast<std::size_t>(FlowStage::kRouting)].cache =
       CacheOutcome::kDisabled;
   EXPECT_EQ(t.cache_hits(), 1);
   EXPECT_EQ(t.cache_misses(), 1);
