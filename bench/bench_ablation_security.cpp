@@ -12,7 +12,7 @@
 #include "extract/extract.h"
 #include "pnr/place.h"
 #include "pnr/route.h"
-#include "sca/dpa_experiment.h"
+#include "leakage/assess.h"
 
 using namespace secflow;
 
@@ -27,15 +27,14 @@ struct Outcome {
 Outcome attack(const Netlist& diff, const CapTable& caps, int n) {
   DesDpaSetup setup;
   setup.n_measurements = n;
-  const DpaAnalysis dpa = run_des_dpa_secure(diff, caps, setup);
-  const DpaResult r = dpa.analyze(setup.key);
+  const DesDpaCampaign c = run_des_dpa_campaign(diff, caps, setup, true);
+  const CpaRanking& r = c.ranking();
   double band = 0.0;
   for (int g = 0; g < 64; ++g) {
-    if (g != static_cast<int>(setup.key)) {
-      band = std::max(band, r.peak_to_peak[static_cast<std::size_t>(g)]);
-    }
+    if (g != static_cast<int>(setup.key)) band = std::max(band, r.score_of(g));
   }
-  return Outcome{r.peak_to_peak[setup.key], band, r.disclosed};
+  return Outcome{r.score_of(static_cast<int>(setup.key)), band,
+                 r.disclosed(setup.key, kDisclosureMargin)};
 }
 
 }  // namespace

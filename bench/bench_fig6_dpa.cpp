@@ -2,24 +2,28 @@
 // reference design discloses K=46 within ~250 measurements, the secure
 // design does not disclose within 2000).  Bottom: the peak-to-peak value
 // of the 64 differential traces at 2000 measurements (the secret key
-// stands out only for the reference implementation).
+// stands out only for the reference implementation).  Each design runs one
+// streaming campaign (leakage/assess.h): its ranking every 100 traces is a
+// row of the top table, and the last ranking is the bottom series.
+//
+// Exits non-zero when the shape check fails or the parallel campaign
+// differs from the serial one.
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "base/parallel.h"
 #include "bench_util.h"
-#include "sca/dpa_experiment.h"
+#include "leakage/assess.h"
 
 using namespace secflow;
 
 namespace {
 
-void print_pp_series(const DpaResult& r, std::uint32_t key) {
+void print_pp_series(const CpaRanking& r, std::uint32_t key) {
   // Compact 64-entry series, 8 per line, correct key marked.
   for (int g = 0; g < 64; ++g) {
     std::printf("%s%6.3f%s", g == static_cast<int>(key) ? "[" : " ",
-                r.peak_to_peak[static_cast<std::size_t>(g)],
+                r.score_of(g),
                 g == static_cast<int>(key) ? "]" : " ");
     if (g % 8 == 7) std::printf("\n");
   }
@@ -50,17 +54,16 @@ int main(int argc, char** argv) {
   serial.parallelism.n_threads = 1;
   const int n_par = Parallelism{}.resolved_threads();
 
-  std::optional<DpaAnalysis> ref_opt, ref_par_opt;
+  DesDpaCampaign ref, ref_par;
   const double ser_ms = wall_ms([&] {
-    ref_opt = run_des_dpa_regular(d.regular.rtl, d.regular.caps, serial);
+    ref = run_des_dpa_campaign(d.regular.rtl, d.regular.caps, serial, false);
   });
   const double par_ms = wall_ms([&] {
-    ref_par_opt = run_des_dpa_regular(d.regular.rtl, d.regular.caps, setup);
+    ref_par =
+        run_des_dpa_campaign(d.regular.rtl, d.regular.caps, setup, false);
   });
-  const DpaAnalysis& ref = *ref_opt;
-  const DpaAnalysis& ref_par = *ref_par_opt;
-  const DpaAnalysis sec =
-      run_des_dpa_secure(d.secure.diff, d.secure.caps, setup);
+  const DesDpaCampaign sec =
+      run_des_dpa_campaign(d.secure.diff, d.secure.caps, setup, true);
 
   bench::header("parallel campaign", "serial vs parallel trace synthesis");
   bench::row("regular campaign, %d traces: %.0f ms @ 1 thread, "
@@ -70,31 +73,27 @@ int main(int argc, char** argv) {
   report.metric("campaign.parallel_ms", par_ms);
   report.metric("campaign.threads", n_par);
   report.metric("campaign.speedup", ser_ms / par_ms);
-  {
-    const DpaResult a = ref.analyze(setup.key);
-    const DpaResult b = ref_par.analyze(setup.key);
-    const bool identical = a.peak_to_peak == b.peak_to_peak &&
-                           a.best_guess == b.best_guess &&
-                           a.disclosed == b.disclosed;
-    bench::row("parallel == serial DPA result: %s",
-               identical ? "bit-identical" : "MISMATCH");
-  }
-
-  std::vector<int> grid;
-  for (int m = 100; m <= 2000; m += 100) grid.push_back(m);
+  // Every checkpoint's ranking, the MTD and the energies, bit for bit.
+  const bool identical = ref.mtd == ref_par.mtd &&
+                         ref.cycle_energies_pj == ref_par.cycle_energies_pj;
+  bench::row("parallel == serial DPA result: %s",
+             identical ? "bit-identical" : "MISMATCH");
 
   bench::header("Fig 6 (top)", "measurements to disclosure (MTD)");
   bench::row("%-12s %28s %28s", "traces", "regular: key found?",
              "secure: key found?");
-  for (int m : grid) {
-    const DpaResult rr = ref.analyze(setup.key, m);
-    const DpaResult sr = sec.analyze(setup.key, m);
-    bench::row("%-12d %17s (guess %2d) %17s (guess %2d)", m,
-               rr.disclosed ? "DISCLOSED" : "hidden", rr.best_guess,
-               sr.disclosed ? "DISCLOSED" : "hidden", sr.best_guess);
+  auto found = [&](const CpaRanking& r) {
+    return r.disclosed(setup.key, kDisclosureMargin) ? "DISCLOSED" : "hidden";
+  };
+  for (std::size_t i = 0; i < ref.mtd.checkpoints.size(); ++i) {
+    const CpaRanking& rr = ref.mtd.rankings[i];
+    const CpaRanking& sr = sec.mtd.rankings[i];
+    bench::row("%-12d %17s (guess %2d) %17s (guess %2d)",
+               ref.mtd.checkpoints[i], found(rr), rr.best_guess, found(sr),
+               sr.best_guess);
   }
-  const int mtd_ref = ref.measurements_to_disclosure(setup.key, grid);
-  const int mtd_sec = sec.measurements_to_disclosure(setup.key, grid);
+  const int mtd_ref = ref.mtd.mtd;
+  const int mtd_sec = sec.mtd.mtd;
   bench::blank();
   bench::row("MTD regular: %d   [paper: ~250]", mtd_ref);
   const std::string mtd_sec_str =
@@ -105,20 +104,16 @@ int main(int argc, char** argv) {
 
   bench::header("Fig 6 (bottom)",
                 "peak-to-peak of differential traces @ 2000 measurements");
-  const DpaResult rr = ref.analyze(setup.key);
-  const DpaResult sr = sec.analyze(setup.key);
+  const CpaRanking& rr = ref.ranking();
+  const CpaRanking& sr = sec.ranking();
   bench::row("regular flow (correct key bracketed; units mA):");
   print_pp_series(rr, setup.key);
-  auto stats = [](const DpaResult& r, std::uint32_t key) {
-    std::vector<double> others;
+  auto stats = [](const CpaRanking& r, std::uint32_t key) {
+    double mx = 0.0;
     for (int g = 0; g < 64; ++g) {
-      if (g != static_cast<int>(key)) {
-        others.push_back(r.peak_to_peak[static_cast<std::size_t>(g)]);
-      }
+      if (g != static_cast<int>(key)) mx = std::max(mx, r.score_of(g));
     }
-    const double mx = *std::max_element(others.begin(), others.end());
-    return std::pair<double, double>(
-        r.peak_to_peak[static_cast<std::size_t>(key)], mx);
+    return std::pair<double, double>(r.score_of(static_cast<int>(key)), mx);
   };
   auto [rk, rmax] = stats(rr, setup.key);
   bench::row("correct key pp %.3f vs best wrong guess %.3f (%.2fx)", rk, rmax,
@@ -130,13 +125,14 @@ int main(int argc, char** argv) {
   bench::row("correct key pp %.3f vs best wrong guess %.3f (%.2fx)", sk, smax,
              sk / smax);
   bench::blank();
+  const bool shape_ok = rk > 1.3 * rmax && sk < 1.3 * smax;
   bench::row("shape check: regular discloses, secure conforms to the band: %s",
-             (rk > 1.3 * rmax && sk < 1.3 * smax) ? "pass" : "FAIL");
+             shape_ok ? "pass" : "FAIL");
   report.metric("pp.regular.correct_key", rk);
   report.metric("pp.regular.best_wrong", rmax);
   report.metric("pp.regular.ratio", rk / rmax);
   report.metric("pp.secure.correct_key", sk);
   report.metric("pp.secure.best_wrong", smax);
   report.metric("pp.secure.ratio", sk / smax);
-  return 0;
+  return identical && shape_ok ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 // Mount the paper's DPA (section 3) against both implementations of the
-// reduced-DES module and watch the secret key appear — or not.
+// reduced-DES module and watch the secret key appear — or not.  The DPA
+// runs on the leakage engine: a 0/1 selection hypothesis in the streaming
+// CPA accumulator, ranked by the peak-to-peak of the difference of means.
 //
 //   $ ./dpa_attack [n_traces]     (default 800)
 #include <algorithm>
@@ -12,15 +14,23 @@ using namespace secflow;
 
 namespace {
 
-void report(const char* label, const DpaAnalysis& dpa,
+/// Accumulate the campaign's traces under the DPA selection bit: one
+/// streaming accumulator holds every guess's difference of means.
+CpaAccumulator attack(const CompiledSimModel& model, bool differential,
+                      const DesDpaSetup& setup) {
+  return accumulate_cpa(
+      des_dpa_traces(model, differential, setup, 0, setup.n_measurements),
+      des_selection(setup.select_bit, setup.sbox), CpaOptions{});
+}
+
+void report(const char* label, const CpaAccumulator& acc,
             const DesDpaSetup& setup) {
-  const DpaResult r = dpa.analyze(setup.key);
+  const CpaRanking r = cpa_ranking(acc, dpa_scores);
   std::vector<std::pair<double, int>> ranked;
-  for (int g = 0; g < 64; ++g) {
-    ranked.push_back({r.peak_to_peak[static_cast<std::size_t>(g)], g});
-  }
+  for (int g = 0; g < 64; ++g) ranked.push_back({r.score_of(g), g});
   std::sort(ranked.rbegin(), ranked.rend());
-  std::printf("\n%s (%d traces):\n", label, r.n_measurements);
+  std::printf("\n%s (%llu traces):\n", label,
+              static_cast<unsigned long long>(acc.n()));
   std::printf("  top guesses: ");
   for (int i = 0; i < 5; ++i) {
     std::printf("%s%d (%.3f)%s", ranked[i].second == (int)setup.key ? "[" : "",
@@ -28,14 +38,10 @@ void report(const char* label, const DpaAnalysis& dpa,
                 ranked[i].second == (int)setup.key ? "]" : "");
     std::printf(i < 4 ? ", " : "\n");
   }
-  std::printf("  secret key %u: rank %ld, %s\n", setup.key,
-              1 + std::distance(ranked.begin(),
-                                std::find_if(ranked.begin(), ranked.end(),
-                                             [&](const auto& p) {
-                                               return p.second ==
-                                                      (int)setup.key;
-                                             })),
-              r.disclosed ? "DISCLOSED" : "still hidden");
+  std::printf("  secret key %u: rank %d, %s\n", setup.key,
+              r.rank_of(static_cast<int>(setup.key)),
+              r.disclosed(setup.key, kDisclosureMargin) ? "DISCLOSED"
+                                                        : "still hidden");
 }
 
 }  // namespace
@@ -54,16 +60,17 @@ int main(int argc, char** argv) {
   std::printf("collecting %d power traces per implementation "
               "(125 MHz, 800 samples/cycle)...\n",
               setup.n_measurements);
-  const DpaAnalysis ref =
-      run_des_dpa_regular(regular.rtl, regular.caps, setup);
-  const DpaAnalysis sec = run_des_dpa_secure(secure.diff, secure.caps, setup);
+  const CpaAccumulator ref =
+      attack(compile_power_model(regular), /*differential=*/false, setup);
+  const CpaAccumulator sec =
+      attack(compile_power_model(secure), /*differential=*/true, setup);
 
   report("regular CMOS implementation", ref, setup);
   report("WDDL secure implementation", sec, setup);
 
   std::printf("\ndifferential trace of the correct key (regular flow), "
               "max |sample|:\n  ");
-  const auto diff = ref.differential_trace(setup.key);
+  const auto diff = ref.difference_of_means(static_cast<int>(setup.key));
   const auto peak = std::max_element(
       diff.begin(), diff.end(),
       [](double a, double b) { return std::abs(a) < std::abs(b); });
@@ -75,7 +82,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> cols;
   for (int g = 0; g < 64; g += 21) {
     names.push_back("guess" + std::to_string(g));
-    cols.push_back(ref.differential_trace(static_cast<std::uint32_t>(g)));
+    cols.push_back(ref.difference_of_means(g));
   }
   names.push_back("key46");
   cols.push_back(diff);

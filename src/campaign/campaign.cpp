@@ -11,6 +11,7 @@
 #include "ckpt/hash.h"
 #include "ckpt/serialize.h"
 #include "crypto/des.h"
+#include "leakage/assess.h"
 #include "lef/lef_io.h"
 #include "liberty/builtin_lib.h"
 #include "netlist/verilog_writer.h"
@@ -18,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pnr/def.h"
-#include "sca/dpa_experiment.h"
 #include "synth/hdl.h"
 
 namespace secflow {
@@ -89,9 +89,10 @@ void run_dpa(const CampaignJob& job, const Netlist& nl, const CapTable& caps,
   setup.n_measurements = job.dpa.n_measurements;
   setup.noise_ma = job.dpa.noise_ma;
   setup.seed = job.seed;
-  const DesDpaCampaign dpa = run_des_dpa_campaign(
-      nl, caps, setup, /*differential=*/job.flow == FlowKind::kSecure);
-  attach_dpa(report, dpa.dpa.analyze(setup.key), dpa.cycle_energies_pj);
+  attach_dpa(report,
+             run_des_dpa_campaign(
+                 nl, caps, setup,
+                 /*differential=*/job.flow == FlowKind::kSecure));
 }
 
 /// One job, start to finish, with every failure folded into the outcome.

@@ -426,29 +426,4 @@ EnergyStats parse_energy_stats(const std::string& text) {
   return s;
 }
 
-std::string write_dpa_result(const DpaResult& r) {
-  std::ostringstream os = make_out();
-  os << "DPA " << r.n_measurements << ' ' << r.best_guess << ' '
-     << (r.disclosed ? 1 : 0) << ' ' << r.peak_to_peak.size() << '\n';
-  for (const double p : r.peak_to_peak) os << "P " << p << '\n';
-  return os.str();
-}
-
-DpaResult parse_dpa_result(const std::string& text) {
-  TokenReader ts(text, "dpa_result");
-  ts.expect("DPA");
-  DpaResult r;
-  r.n_measurements = static_cast<int>(ts.integer());
-  r.best_guess = static_cast<int>(ts.integer());
-  r.disclosed = ts.boolean();
-  const long long n = ts.integer();
-  r.peak_to_peak.reserve(static_cast<std::size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    ts.expect("P");
-    r.peak_to_peak.push_back(ts.real());
-  }
-  ts.done();
-  return r;
-}
-
 }  // namespace secflow

@@ -245,7 +245,7 @@ std::string flow_report(const SecureFlowResult& r);
 /// Machine-readable counterpart of flow_report(): per-stage timings with
 /// cache outcomes/keys, route/timing statistics and (secure overload) the
 /// verification verdicts, as an obs/report.h FlowReport.  Callers attach
-/// DPA results (sca/dpa_experiment.h) and a metrics snapshot before
+/// DPA results (attach_dpa, leakage/assess.h) and a metrics snapshot before
 /// serializing with flow_report_json().
 FlowReport build_flow_report(const RegularFlowResult& r);
 FlowReport build_flow_report(const SecureFlowResult& r);

@@ -160,16 +160,13 @@ double CpaAccumulator::correlation(int guess, int sample) const {
   return c / std::sqrt(mh * mt);
 }
 
-std::vector<double> CpaAccumulator::scores() const {
-  std::vector<double> out(mean_h_.size(), 0.0);
-  for (int g = 0; g < n_guesses(); ++g) {
-    double best = 0.0;
-    for (int s = 0; s < n_samples(); ++s) {
-      const double r = std::fabs(correlation(g, s));
-      if (r > best) best = r;
-    }
-    out[static_cast<std::size_t>(g)] = best;
-  }
+std::vector<double> CpaAccumulator::difference_of_means(int guess) const {
+  SECFLOW_CHECK(guess >= 0 && guess < n_guesses(), "CPA guess out of range");
+  std::vector<double> out(mean_t_.size(), 0.0);
+  const double mh = m2_h_[static_cast<std::size_t>(guess)];
+  if (mh <= 0.0) return out;
+  const double* row = c_.data() + static_cast<std::size_t>(guess) * out.size();
+  for (std::size_t s = 0; s < out.size(); ++s) out[s] = row[s] / mh;
   return out;
 }
 

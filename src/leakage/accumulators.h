@@ -95,8 +95,11 @@ class CpaAccumulator {
   /// vanishes or fewer than 2 traces were seen.
   double correlation(int guess, int sample) const;
 
-  /// Per-guess distinguisher score: max over samples of |correlation|.
-  std::vector<double> scores() const;
+  /// Difference of means of a 0/1 hypothesis (the DPA differential
+  /// trace): per sample, mean(t | h=1) - mean(t | h=0) = C[g,s] / m2_h[g],
+  /// exact for any two-valued {0, 1} hypothesis.  All zeros when guess g
+  /// put every trace in one class (m2_h = 0).
+  std::vector<double> difference_of_means(int guess) const;
 
  private:
   std::uint64_t n_ = 0;

@@ -13,11 +13,29 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sca/dpa_experiment.h"
 #include "sim/trace_sim.h"
 
 namespace secflow {
 namespace {
+
+std::vector<DesBitPorts> resolve_bits(const Netlist& nl,
+                                      const std::string& base, int width,
+                                      bool differential) {
+  std::vector<DesBitPorts> ports(static_cast<std::size_t>(width));
+  for (int i = 0; i < width; ++i) {
+    const std::string bit = base + "_" + std::to_string(i);
+    DesBitPorts& b = ports[static_cast<std::size_t>(i)];
+    if (differential) {
+      b.t = nl.find_port(bit + "_t");
+      b.f = nl.find_port(bit + "_f");
+      SECFLOW_CHECK(b.t.valid() && b.f.valid(), "missing rail ports: " + bit);
+    } else {
+      b.t = nl.find_port(bit);
+      SECFLOW_CHECK(b.t.valid(), "unknown port: " + bit);
+    }
+  }
+  return ports;
+}
 
 constexpr const char* kTraceKind = "leakage-traces";
 // Fixed-class plaintext of the DES TVLA campaign (any constant works; the
@@ -29,6 +47,8 @@ constexpr std::uint32_t kFixedPr = 0x2A;
 constexpr std::uint64_t kTvlaStreamBase = 1ull << 40;
 // Stream id of the generic campaign's fixed-class lane pattern.
 constexpr std::uint64_t kFixedPatternStream = 0x5EC0FA57ull;
+// The DPA campaign ranks after every this many traces: Fig 6's grid.
+constexpr int kDpaCheckpointStep = 100;
 
 /// Trace checkpointing: blocks of simulated measurements stored under a
 /// content-address chained from the upstream flow key.
@@ -118,6 +138,35 @@ bool unpack_block(const Artifact& a, int expect_n,
 using AbsTraceTask =
     std::function<SimTrace(PowerSimulator& sim, Rng& rng, int abs_index)>;
 
+/// Simulate traces [begin, end) of the stream at `stream_base`.
+std::vector<SimTrace> simulate_block(const CompiledSimModel& model,
+                                     std::uint64_t seed,
+                                     std::uint64_t stream_base, int begin,
+                                     int end, const AbsTraceTask& task,
+                                     const Parallelism& par) {
+  std::vector<SimTrace> sims = simulate_traces(
+      model, end - begin, seed,
+      [&](PowerSimulator& sim, Rng&, int i) {
+        Rng rng = Rng::stream(
+            seed, stream_base + static_cast<std::uint64_t>(begin + i));
+        return task(sim, rng, begin + i);
+      },
+      par);
+  Metrics::global().add("leakage.traces_simulated",
+                        static_cast<std::uint64_t>(sims.size()));
+  return sims;
+}
+
+/// The attacker's view of a simulated trace: the samples plus the packed
+/// observables (ct | prev_ct << 10).
+CpaMeasurement to_measurement(SimTrace& t) {
+  CpaMeasurement m;
+  m.samples = std::move(t.cycle.current_ma);
+  m.ct = t.observable & 0x3FF;
+  m.prev_ct = (t.observable >> 10) & 0x3FF;
+  return m;
+}
+
 std::vector<CpaMeasurement> fetch_block(
     const CompiledSimModel& model, TraceCache& cache, const char* purpose,
     const LeakageSetup& s, bool differential, std::uint64_t stream_base,
@@ -135,24 +184,13 @@ std::vector<CpaMeasurement> fetch_block(
       }
     }
   }
-  std::vector<SimTrace> sims = simulate_traces(
-      model, end - begin, s.seed,
-      [&](PowerSimulator& sim, Rng&, int i) {
-        Rng rng = Rng::stream(
-            s.seed, stream_base + static_cast<std::uint64_t>(begin + i));
-        return task(sim, rng, begin + i);
-      },
-      s.parallelism);
-  std::vector<CpaMeasurement> out(sims.size());
-  for (std::size_t i = 0; i < sims.size(); ++i) {
-    out[i].samples = std::move(sims[i].cycle.current_ma);
-    out[i].ct = sims[i].observable & 0x3FF;
-    out[i].prev_ct = (sims[i].observable >> 10) & 0x3FF;
-  }
+  std::vector<SimTrace> sims = simulate_block(
+      model, s.seed, stream_base, begin, end, task, s.parallelism);
+  std::vector<CpaMeasurement> out;
+  out.reserve(sims.size());
+  for (SimTrace& t : sims) out.push_back(to_measurement(t));
   ++cache.misses;
   Metrics::global().add("leakage.trace_cache.miss");
-  Metrics::global().add("leakage.traces_simulated",
-                        static_cast<std::uint64_t>(out.size()));
   if (cache.store) cache.store->save(make_block_artifact(key, out));
   return out;
 }
@@ -176,18 +214,24 @@ std::vector<CpaMeasurement> fetch_range(
 
 // --- DES campaign tasks ---------------------------------------------------
 
-/// The DPA experiment's four-cycle mini-campaign, extended to read both
-/// ciphertext observables: the previous encryption's result lands in the
-/// CL/CR output registers one cycle before the target's, so prev_ct is
-/// read after the recorded cycle and ct after the next one.  A WDDL
-/// design is observable only during the evaluate phase (output_at_eval).
+/// The one DES CPA/DPA trace: a four-cycle mini-campaign on a reset
+/// simulator, so the recorded cycle carries exactly the register activity
+/// the attacks target:
+///   cycle 1  the previous plaintext reaches the PL/PR registers,
+///   cycle 2  the target plaintext arrives at the register inputs,
+///   cycle 3  PL/PR transition previous -> target   (the recorded trace),
+///   cycle 4  the ciphertext reaches the CL/CR output registers.
+/// The previous encryption's result lands in CL/CR one cycle before the
+/// target's, so prev_ct is read after the recorded cycle and ct after the
+/// next one.  A WDDL design is observable only during the evaluate phase
+/// (output_at_eval).
 SimTrace des_cpa_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
-                       const LeakageSetup& s) {
+                       std::uint32_t key, double noise_ma) {
   const auto prev_pl = static_cast<std::uint32_t>(rng.next_below(16));
   const auto prev_pr = static_cast<std::uint32_t>(rng.next_below(64));
   const auto pl = static_cast<std::uint32_t>(rng.next_below(16));
   const auto pr = static_cast<std::uint32_t>(rng.next_below(64));
-  ports.drive(sim, ports.k, s.key);
+  ports.drive(sim, ports.k, key);
   ports.drive(sim, ports.pl, prev_pl);
   ports.drive(sim, ports.pr, prev_pr);
   sim.settle();
@@ -203,9 +247,9 @@ SimTrace des_cpa_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
   const std::uint32_t ct =
       ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
   out.observable = ct | (prev_ct << 10);
-  if (s.noise_ma > 0.0) {
+  if (noise_ma > 0.0) {
     for (double& v : out.cycle.current_ma) {
-      v += s.noise_ma * rng.next_gaussian();
+      v += noise_ma * rng.next_gaussian();
     }
   }
   return out;
@@ -468,6 +512,38 @@ LeakageReport report_shell(const CompiledSimModel& model, bool differential,
 
 }  // namespace
 
+DesPortMap DesPortMap::resolve(const Netlist& nl, bool differential) {
+  DesPortMap m;
+  m.differential = differential;
+  m.k = resolve_bits(nl, "k", 6, differential);
+  m.pl = resolve_bits(nl, "pl", 4, differential);
+  m.pr = resolve_bits(nl, "pr", 6, differential);
+  m.cl = resolve_bits(nl, "cl", 4, differential);
+  m.cr = resolve_bits(nl, "cr", 6, differential);
+  return m;
+}
+
+void DesPortMap::drive(PowerSimulator& sim,
+                       const std::vector<DesBitPorts>& ports,
+                       std::uint32_t value) const {
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    const bool v = (value >> i) & 1;
+    sim.set_input(ports[i].t, v);
+    if (differential) sim.set_input(ports[i].f, !v);
+  }
+}
+
+std::uint32_t DesPortMap::read(const PowerSimulator& sim,
+                               const std::vector<DesBitPorts>& ports) const {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    const bool b = differential ? sim.output_at_eval(ports[i].t)
+                                : sim.output(ports[i].t);
+    if (b) v |= 1u << i;
+  }
+  return v;
+}
+
 LeakageReport assess_des_leakage(const CompiledSimModel& model,
                                  bool differential,
                                  const LeakageSetup& setup) {
@@ -490,7 +566,7 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
   if (setup.with_cpa) {
     const HypothesisFn hyp = des_hypothesis(setup.model, setup.sbox);
     const AbsTraceTask task = [&](PowerSimulator& sim, Rng& rng, int) {
-      return des_cpa_trace(sim, rng, ports, setup);
+      return des_cpa_trace(sim, rng, ports, setup.key, setup.noise_ma);
     };
     r.cpa = run_cpa_phase(model, cache, setup, differential, hyp, task);
     if (setup.ge_campaigns > 0) {
@@ -547,6 +623,85 @@ LeakageReport assess_tvla_leakage(const Netlist& nl, const CapTable& caps,
   opts.precharge_inputs = differential;
   const CompiledSimModel model(nl, caps, opts);
   return assess_tvla_leakage(model, differential, setup);
+}
+
+std::vector<CpaMeasurement> des_dpa_traces(const CompiledSimModel& model,
+                                           bool differential,
+                                           const DesDpaSetup& setup,
+                                           int begin, int end,
+                                           std::vector<double>* energies_pj) {
+  const DesPortMap ports = DesPortMap::resolve(model.netlist(), differential);
+  std::vector<SimTrace> sims = simulate_block(
+      model, setup.seed, 0, begin, end,
+      [&](PowerSimulator& sim, Rng& rng, int) {
+        return des_cpa_trace(sim, rng, ports, setup.key, setup.noise_ma);
+      },
+      setup.parallelism);
+  std::vector<CpaMeasurement> out;
+  out.reserve(sims.size());
+  for (SimTrace& t : sims) {
+    if (energies_pj != nullptr) energies_pj->push_back(t.cycle.energy_pj);
+    out.push_back(to_measurement(t));
+  }
+  return out;
+}
+
+DesDpaCampaign run_des_dpa_campaign(const CompiledSimModel& model,
+                                    const DesDpaSetup& setup,
+                                    bool differential) {
+  Span span("leakage.dpa", "leakage");
+  span.arg("measurements", setup.n_measurements);
+  span.arg("differential", differential ? "true" : "false");
+  SECFLOW_CHECK(setup.n_measurements > 0, "DPA needs at least 1 measurement");
+  SECFLOW_LOG_INFO("leakage", "DPA campaign start",
+                   LogField("measurements", setup.n_measurements),
+                   LogField("differential", differential));
+  MtdOptions mtd;
+  mtd.max_traces = setup.n_measurements;
+  mtd.step = std::min(kDpaCheckpointStep, setup.n_measurements);
+  // Persisting through every checkpoint never stops early: the MTD is the
+  // start of the disclosure run that holds to the last checkpoint.
+  mtd.persist = (mtd.max_traces + mtd.step - 1) / mtd.step;
+  CpaOptions opts;
+  opts.parallelism = setup.parallelism;
+
+  DesDpaCampaign c;
+  c.cycle_energies_pj.reserve(static_cast<std::size_t>(setup.n_measurements));
+  const TraceFeeder feeder = [&](int begin, int end) {
+    return des_dpa_traces(model, differential, setup, begin, end,
+                          &c.cycle_energies_pj);
+  };
+  c.mtd = estimate_mtd(feeder, des_selection(setup.select_bit, setup.sbox),
+                       setup.key, mtd, opts, dpa_scores);
+  return c;
+}
+
+DesDpaCampaign run_des_dpa_campaign(const Netlist& nl, const CapTable& caps,
+                                    const DesDpaSetup& setup,
+                                    bool differential) {
+  PowerSimOptions opts;
+  opts.precharge_inputs = differential;
+  const CompiledSimModel model(nl, caps, opts);
+  return run_des_dpa_campaign(model, setup, differential);
+}
+
+void attach_dpa(FlowReport& report, const DesDpaCampaign& campaign) {
+  const CpaRanking& r = campaign.ranking();
+  DpaSection& d = report.dpa;
+  d.present = true;
+  d.n_measurements = campaign.mtd.traces_fed;
+  d.best_guess = r.best_guess;
+  // Persisting to the last checkpoint == disclosed over every trace.
+  d.disclosed = campaign.mtd.disclosed;
+  d.best_peak = r.best_score;
+  d.runner_up_peak = r.runner_up_score;
+  d.mean_cycle_energy_pj = 0.0;
+  if (!campaign.cycle_energies_pj.empty()) {
+    double sum = 0.0;
+    for (const double e : campaign.cycle_energies_pj) sum += e;
+    d.mean_cycle_energy_pj =
+        sum / static_cast<double>(campaign.cycle_energies_pj.size());
+  }
 }
 
 }  // namespace secflow

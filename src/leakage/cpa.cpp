@@ -1,6 +1,7 @@
 #include "leakage/cpa.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "base/error.h"
@@ -59,6 +60,33 @@ CpaAccumulator accumulate_cpa(const std::vector<CpaMeasurement>& traces,
   return total;
 }
 
+double peak_to_peak(const std::vector<double>& trace) {
+  if (trace.empty()) return 0.0;
+  const auto [lo, hi] = std::minmax_element(trace.begin(), trace.end());
+  return *hi - *lo;
+}
+
+std::vector<double> cpa_scores(const CpaAccumulator& acc) {
+  std::vector<double> out(static_cast<std::size_t>(acc.n_guesses()), 0.0);
+  for (int g = 0; g < acc.n_guesses(); ++g) {
+    double best = 0.0;
+    for (int s = 0; s < acc.n_samples(); ++s) {
+      best = std::max(best, std::fabs(acc.correlation(g, s)));
+    }
+    out[static_cast<std::size_t>(g)] = best;
+  }
+  return out;
+}
+
+std::vector<double> dpa_scores(const CpaAccumulator& acc) {
+  std::vector<double> out(static_cast<std::size_t>(acc.n_guesses()), 0.0);
+  for (int g = 0; g < acc.n_guesses(); ++g) {
+    out[static_cast<std::size_t>(g)] =
+        peak_to_peak(acc.difference_of_means(g));
+  }
+  return out;
+}
+
 int CpaRanking::rank_of(int guess) const {
   const double mine = scores[static_cast<std::size_t>(guess)];
   int rank = 1;
@@ -77,9 +105,9 @@ bool CpaRanking::disclosed(std::uint32_t correct_key, double margin) const {
   return best_score > runner_up_score * (1.0 + margin);
 }
 
-CpaRanking cpa_ranking(const CpaAccumulator& acc) {
+CpaRanking cpa_ranking(const CpaAccumulator& acc, Distinguisher score) {
   CpaRanking r;
-  r.scores = acc.scores();
+  r.scores = score(acc);
   for (std::size_t g = 0; g < r.scores.size(); ++g) {
     if (r.best_guess < 0 || r.scores[g] > r.best_score) {
       r.best_guess = static_cast<int>(g);
@@ -96,7 +124,7 @@ CpaRanking cpa_ranking(const CpaAccumulator& acc) {
 MtdResult estimate_mtd(const TraceFeeder& feeder,
                        const HypothesisFn& hypothesis,
                        std::uint32_t correct_key, const MtdOptions& mtd,
-                       const CpaOptions& opts) {
+                       const CpaOptions& opts, Distinguisher score) {
   SECFLOW_CHECK(mtd.step > 0, "MTD step must be positive");
   SECFLOW_CHECK(mtd.max_traces >= mtd.step,
                 "MTD budget smaller than one step");
@@ -129,8 +157,9 @@ MtdResult estimate_mtd(const TraceFeeder& feeder,
     fed = end;
     out.traces_fed = fed;
 
-    const CpaRanking ranking = cpa_ranking(acc);
     out.checkpoints.push_back(fed);
+    out.rankings.push_back(cpa_ranking(acc, score));
+    const CpaRanking& ranking = out.rankings.back();
     out.ranks.push_back(ranking.rank_of(static_cast<int>(correct_key)));
     if (ranking.disclosed(correct_key, mtd.margin)) {
       if (run_len == 0) run_start = fed;
@@ -146,8 +175,7 @@ MtdResult estimate_mtd(const TraceFeeder& feeder,
     }
   }
   // Disclosure held through the final checkpoint without reaching the
-  // persist count: credit the run (the budget cut it short), matching the
-  // DPA persist-to-grid-end semantics.
+  // persist count: credit the run (the budget cut it short).
   if (run_len > 0) {
     out.mtd = run_start;
     out.disclosed = true;

@@ -12,7 +12,7 @@
 // The document is plain data (strings and numbers only), so this header
 // depends on nothing above base; the builders that know about flow/sca
 // types live in those layers (build_flow_report in flow/, attach_dpa in
-// sca/).  Schema identifier: "secflow.flow-report/1".  validate checks a
+// leakage/).  Schema identifier: "secflow.flow-report/1".  validate checks a
 // parsed document against that schema; parse_flow_report round-trips the
 // JSON back into the struct.
 #pragma once
@@ -53,7 +53,7 @@ struct SecureSection {
   bool operator==(const SecureSection&) const = default;
 };
 
-/// DPA campaign section (attached by sca/ when a campaign ran).
+/// DPA campaign section (attached by leakage/ when a campaign ran).
 struct DpaSection {
   bool present = false;
   std::int64_t n_measurements = 0;

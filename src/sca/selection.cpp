@@ -17,9 +17,9 @@ std::uint32_t des_predict_pl(std::uint32_t ciphertext, std::uint32_t guess,
   return (cl ^ des_sbox(sbox, cr ^ guess)) & 0xF;
 }
 
-SelectionFn des_selection(int bit, int sbox) {
-  return [bit, sbox](std::uint32_t ciphertext, std::uint32_t guess) {
-    return ((des_predict_pl(ciphertext, guess, sbox) >> bit) & 1) != 0;
+HypothesisFn des_selection(int bit, int sbox) {
+  return [bit, sbox](std::uint32_t ct, std::uint32_t, std::uint32_t guess) {
+    return static_cast<double>((des_predict_pl(ct, guess, sbox) >> bit) & 1);
   };
 }
 

@@ -1,14 +1,14 @@
-// Selection functions and key-guess enumeration shared by every power
-// attack in sca/ and leakage/.
+// Leakage hypotheses and key-guess enumeration shared by every power
+// attack (leakage/cpa.h).
 //
-// DPA (difference of means, sca/dpa.h) partitions traces by a single
-// predicted bit; CPA (Pearson correlation, leakage/cpa.h) correlates
-// against a multi-bit leakage hypothesis.  Both derive their prediction
-// from the same intermediate value — for the paper's Fig 4 circuit, the
-// PL register nibble reconstructed from the observed ciphertext under a
-// key guess.  That core lives here, once, so the two attacks cannot
-// drift: des_selection() is a bit extraction of des_predict_pl(), and the
-// CPA hypotheses are Hamming weight/distance of the same value.
+// DPA (difference of means) partitions traces by a single predicted bit;
+// CPA (Pearson correlation) correlates against a multi-bit leakage
+// hypothesis.  Both derive their prediction from the same intermediate
+// value — for the paper's Fig 4 circuit, the PL register nibble
+// reconstructed from the observed ciphertext under a key guess.  That
+// core lives here, once, so the two attacks cannot drift:
+// des_selection() is a bit extraction of des_predict_pl(), and the CPA
+// hypotheses are Hamming weight/distance of the same value.
 #pragma once
 
 #include <cstdint>
@@ -18,15 +18,11 @@
 
 namespace secflow {
 
-/// Selection function: predicted target bit from the ciphertext under a
-/// key guess (the DPA partition predicate).
-using SelectionFn = std::function<bool(std::uint32_t ciphertext,
-                                       std::uint32_t key_guess)>;
-
 /// Leakage hypothesis: predicted relative power of one trace from its
-/// observables under a key guess (the CPA correlation target).  `prev_ct`
-/// is the ciphertext of the preceding encryption — Hamming-distance
-/// models predict register flips, which need both.
+/// observables under a key guess (the CPA correlation target, or the DPA
+/// selection bit as 0.0/1.0).  `prev_ct` is the ciphertext of the
+/// preceding encryption — Hamming-distance models predict register
+/// flips, which need both.
 using HypothesisFn = std::function<double(std::uint32_t ciphertext,
                                           std::uint32_t prev_ct,
                                           std::uint32_t key_guess)>;
@@ -43,8 +39,9 @@ int hamming_weight(std::uint32_t v);
 std::uint32_t des_predict_pl(std::uint32_t ciphertext, std::uint32_t guess,
                              int sbox = 1);
 
-/// DPA selection for the Fig 4 packing: bit `bit` of des_predict_pl.
-SelectionFn des_selection(int bit, int sbox = 1);
+/// DPA selection for the Fig 4 packing: bit `bit` of des_predict_pl, as
+/// a 0.0/1.0 hypothesis (the difference of means partitions on it).
+HypothesisFn des_selection(int bit, int sbox = 1);
 
 /// CPA power models over the predicted intermediate.
 enum class PowerModel {

@@ -64,8 +64,6 @@
 #include "crypto/aes.h"
 #include "crypto/des.h"
 #include "sca/dfa.h"
-#include "sca/dpa.h"
-#include "sca/dpa_experiment.h"
 #include "sca/ema.h"
 #include "sca/selection.h"
 #include "sca/trace_io.h"

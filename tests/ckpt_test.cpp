@@ -276,14 +276,6 @@ TEST(Serialize, SmallStructsRoundTrip) {
   es.nsd = 0.009;
   expect_second_generation_identical(es, write_energy_stats,
                                      parse_energy_stats);
-
-  DpaResult dr;
-  dr.n_measurements = 2000;
-  dr.best_guess = 46;
-  dr.disclosed = true;
-  dr.peak_to_peak = {0.5, 1.25, 0.75};
-  expect_second_generation_identical(dr, write_dpa_result,
-                                     parse_dpa_result);
 }
 
 TEST(Serialize, ParsersRejectMalformedInput) {

@@ -11,7 +11,7 @@
 #include "crypto/des.h"
 #include "netlist/netlist_ops.h"
 #include "liberty/builtin_lib.h"
-#include "sca/dpa_experiment.h"
+#include "leakage/assess.h"
 #include "synth/hdl.h"
 
 namespace secflow {
@@ -177,21 +177,21 @@ TEST_F(DesFlows, ReferenceLeaksMoreThanSecure) {
   // design's correct-key peak does not.
   DesDpaSetup setup;
   setup.n_measurements = 1600;
-  const DpaAnalysis ref =
-      run_des_dpa_regular(regular_->rtl, regular_->caps, setup);
-  const DpaAnalysis sec =
-      run_des_dpa_secure(secure_->diff, secure_->caps, setup);
-  const DpaResult rr = ref.analyze(setup.key);
-  const DpaResult sr = sec.analyze(setup.key);
+  const DesDpaCampaign ref =
+      run_des_dpa_campaign(regular_->rtl, regular_->caps, setup, false);
+  const DesDpaCampaign sec =
+      run_des_dpa_campaign(secure_->diff, secure_->caps, setup, true);
+  const CpaRanking& rr = ref.ranking();
+  const CpaRanking& sr = sec.ranking();
   EXPECT_EQ(rr.best_guess, static_cast<int>(setup.key));
-  EXPECT_TRUE(rr.disclosed);
-  EXPECT_FALSE(sr.disclosed);
+  EXPECT_TRUE(rr.disclosed(setup.key, kDisclosureMargin));
+  EXPECT_FALSE(sr.disclosed(setup.key, kDisclosureMargin));
 
   // Normalized dominance: correct-key peak over the median guess peak.
-  auto dominance = [&](const DpaResult& r) {
-    std::vector<double> pp = r.peak_to_peak;
+  auto dominance = [&](const CpaRanking& r) {
+    std::vector<double> pp = r.scores;
     std::nth_element(pp.begin(), pp.begin() + pp.size() / 2, pp.end());
-    return r.peak_to_peak[setup.key] / pp[pp.size() / 2];
+    return r.score_of(static_cast<int>(setup.key)) / pp[pp.size() / 2];
   };
   EXPECT_GT(dominance(rr), 1.5);
   EXPECT_LT(dominance(sr), 1.5);

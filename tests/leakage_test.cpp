@@ -9,6 +9,7 @@
 // module plus trace synthesis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -161,7 +162,7 @@ TEST(CpaAccumulator, CorrelationMatchesNaivePearson) {
     }
   }
   // The informed guess dominates the distinguisher score.
-  const std::vector<double> scores = acc.scores();
+  const std::vector<double> scores = cpa_scores(acc);
   EXPECT_GT(scores[0], scores[1]);
   EXPECT_GT(scores[1], scores[2]);
 }
@@ -224,7 +225,7 @@ TEST(Determinism, CpaBitIdenticalAcrossThreadCounts) {
     CpaOptions opts;
     opts.parallelism.n_threads = threads;
     const CpaAccumulator acc = accumulate_cpa(traces, hyp, opts);
-    per_thread_scores.push_back(acc.scores());
+    per_thread_scores.push_back(cpa_scores(acc));
   }
   for (std::size_t i = 1; i < per_thread_scores.size(); ++i) {
     // Bitwise equality of every double, not approximate equality: the
@@ -361,6 +362,96 @@ TEST(Tvla, DetectsInjectedMeanShift) {
   EXPECT_EQ(leaky[0], 1u);
   EXPECT_GT(std::abs(t[1]), 4.5);
   EXPECT_LT(std::abs(t[0]), 4.5);
+}
+
+// ---------------------------------------------------------------------
+// DPA (Fig 6) as the difference of means of a 0/1 hypothesis, against
+// the naive two-class-mean reference.
+
+/// Reference implementation of the DPA differential trace: split the
+/// traces by the selection bit, subtract the class means.  Flat 0 when a
+/// class is empty.
+std::vector<double> naive_difference_of_means(
+    const std::vector<CpaMeasurement>& traces, std::size_t n,
+    const HypothesisFn& selection, std::uint32_t guess) {
+  const std::size_t len = traces.front().samples.size();
+  std::vector<double> sum1(len, 0.0), sum0(len, 0.0);
+  std::size_t n1 = 0, n0 = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const CpaMeasurement& m = traces[i];
+    const bool one = selection(m.ct, m.prev_ct, guess) != 0.0;
+    std::vector<double>& sum = one ? sum1 : sum0;
+    ++(one ? n1 : n0);
+    for (std::size_t s = 0; s < len; ++s) sum[s] += m.samples[s];
+  }
+  std::vector<double> diff(len, 0.0);
+  if (n1 == 0 || n0 == 0) return diff;
+  for (std::size_t s = 0; s < len; ++s) {
+    diff[s] = sum1[s] / static_cast<double>(n1) -
+              sum0[s] / static_cast<double>(n0);
+  }
+  return diff;
+}
+
+/// The naive DPA verdict over the first n traces: peak-to-peak per guess,
+/// ranked first-max-wins, disclosed with the default margin.
+CpaRanking naive_dpa_ranking(const std::vector<CpaMeasurement>& traces,
+                             std::size_t n, const HypothesisFn& selection) {
+  CpaRanking r;
+  for (int g = 0; g < kDesKeyGuesses; ++g) {
+    r.scores.push_back(peak_to_peak(naive_difference_of_means(
+        traces, n, selection, static_cast<std::uint32_t>(g))));
+  }
+  for (std::size_t g = 0; g < r.scores.size(); ++g) {
+    if (r.best_guess < 0 || r.scores[g] > r.best_score) {
+      r.best_guess = static_cast<int>(g);
+      r.best_score = r.scores[g];
+    }
+  }
+  for (std::size_t g = 0; g < r.scores.size(); ++g) {
+    if (static_cast<int>(g) != r.best_guess) {
+      r.runner_up_score = std::max(r.runner_up_score, r.scores[g]);
+    }
+  }
+  return r;
+}
+
+TEST(DpaAccumulator, DifferenceOfMeansMatchesNaiveTwoClassMeans) {
+  // 1100 traces: several 256-trace shards merged, with a ragged tail.
+  const std::vector<CpaMeasurement> traces = synthetic_traces(1100, 41);
+  for (int bit = 0; bit < 4; ++bit) {
+    const HypothesisFn sel = des_selection(bit);
+    const CpaAccumulator acc = accumulate_cpa(traces, sel, {});
+    for (int g = 0; g < kDesKeyGuesses; ++g) {
+      const std::vector<double> naive = naive_difference_of_means(
+          traces, traces.size(), sel, static_cast<std::uint32_t>(g));
+      const std::vector<double> fast = acc.difference_of_means(g);
+      ASSERT_EQ(fast.size(), naive.size());
+      double scale = 0.0;
+      for (const double d : naive) scale = std::max(scale, std::abs(d));
+      ASSERT_GT(scale, 0.0);
+      for (std::size_t s = 0; s < naive.size(); ++s) {
+        EXPECT_LE(std::abs(fast[s] - naive[s]), 1e-12 * scale)
+            << "bit " << bit << " guess " << g << " sample " << s;
+      }
+    }
+  }
+}
+
+TEST(DpaAccumulator, DegenerateSplitIsFlatZero) {
+  // Every trace in the "1" class: no difference to take.
+  const std::vector<CpaMeasurement> traces = synthetic_traces(300, 43);
+  const HypothesisFn all_one = [](std::uint32_t, std::uint32_t,
+                                  std::uint32_t) { return 1.0; };
+  const CpaAccumulator acc = accumulate_cpa(traces, all_one, {});
+  for (int g = 0; g < kDesKeyGuesses; ++g) {
+    const std::vector<double> naive = naive_difference_of_means(
+        traces, traces.size(), all_one, static_cast<std::uint32_t>(g));
+    EXPECT_EQ(acc.difference_of_means(g), naive);
+    EXPECT_EQ(acc.difference_of_means(g),
+              std::vector<double>(traces.front().samples.size(), 0.0));
+  }
+  EXPECT_EQ(dpa_scores(acc), std::vector<double>(kDesKeyGuesses, 0.0));
 }
 
 // ---------------------------------------------------------------------
@@ -530,6 +621,74 @@ TEST_F(DesLeakage, ReportRoundTripsAndAttachesToFlowReport) {
   EXPECT_EQ(flow.leakage.mtd, sec.mtd.mtd);
   const FlowReport flow_parsed = parse_flow_report(flow_report_json(flow));
   EXPECT_EQ(flow_parsed.leakage.cpa_correct_rank, sec.cpa.correct_rank);
+}
+
+/// The streaming DPA campaign against the naive reference on the same
+/// traces: at every Fig 6 checkpoint the same best guess and verdict and
+/// peak-to-peak values within 1e-9, and the MTD of the old grid rule
+/// (the first checkpoint from which disclosure persists to the end).
+void expect_dpa_matches_naive(const CompiledSimModel& model,
+                              bool differential) {
+  DesDpaSetup setup;
+  setup.n_measurements = 1000;
+  const DesDpaCampaign c = run_des_dpa_campaign(model, setup, differential);
+  const std::vector<CpaMeasurement> traces = des_dpa_traces(
+      model, differential, setup, 0, setup.n_measurements);
+  const HypothesisFn sel = des_selection(setup.select_bit, setup.sbox);
+  ASSERT_EQ(c.mtd.checkpoints.size(), 10u);
+  int naive_mtd = -1;
+  for (std::size_t i = 0; i < c.mtd.checkpoints.size(); ++i) {
+    const int m = c.mtd.checkpoints[i];
+    ASSERT_EQ(m, 100 * static_cast<int>(i + 1));
+    const CpaRanking naive =
+        naive_dpa_ranking(traces, static_cast<std::size_t>(m), sel);
+    const CpaRanking& fast = c.mtd.rankings[i];
+    EXPECT_EQ(fast.best_guess, naive.best_guess) << m << " traces";
+    const bool disclosed = naive.disclosed(setup.key, kDisclosureMargin);
+    EXPECT_EQ(fast.disclosed(setup.key, kDisclosureMargin), disclosed)
+        << m << " traces";
+    for (int g = 0; g < kDesKeyGuesses; ++g) {
+      EXPECT_LE(std::abs(fast.score_of(g) - naive.score_of(g)),
+                1e-9 * naive.score_of(g))
+          << m << " traces, guess " << g;
+    }
+    if (!disclosed) {
+      naive_mtd = -1;
+    } else if (naive_mtd < 0) {
+      naive_mtd = m;
+    }
+  }
+  EXPECT_EQ(c.mtd.mtd, naive_mtd);
+  EXPECT_EQ(c.mtd.disclosed, naive_mtd > 0);
+  EXPECT_EQ(c.cycle_energies_pj.size(), traces.size());
+}
+
+TEST_F(DesLeakage, StreamingDpaMatchesNaiveOnRegularDesign) {
+  expect_dpa_matches_naive(compile_power_model(*regular_), false);
+}
+
+TEST_F(DesLeakage, StreamingDpaMatchesNaiveOnSecureDesign) {
+  expect_dpa_matches_naive(compile_power_model(*secure_), true);
+}
+
+TEST_F(DesLeakage, DpaCampaignBitIdenticalAcrossThreadCounts) {
+  DesDpaSetup setup;
+  setup.n_measurements = 300;
+  setup.noise_ma = 0.05;  // the per-trace noise stream too
+  const CompiledSimModel model = compile_power_model(*secure_);
+  auto campaign = [&](int threads) {
+    DesDpaSetup s = setup;
+    s.parallelism.n_threads = threads;
+    return run_des_dpa_campaign(model, s, /*differential=*/true);
+  };
+  const DesDpaCampaign serial = campaign(1);
+  for (int threads : {2, 8}) {
+    const DesDpaCampaign par = campaign(threads);
+    // Every checkpoint's scores, ranks and verdicts, bit for bit.
+    EXPECT_EQ(par.mtd, serial.mtd) << "@ " << threads << " threads";
+    EXPECT_EQ(par.cycle_energies_pj, serial.cycle_energies_pj)
+        << "@ " << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 
 #include "base/rng.h"
 #include "crypto/des.h"
+#include "leakage/assess.h"
 #include "liberty/builtin_lib.h"
-#include "sca/dpa_experiment.h"
 #include "sim/trace_sim.h"
 #include "synth/techmap.h"
 
@@ -95,40 +95,41 @@ TEST_F(ParallelDeterminism, DpaCampaignBitIdenticalAcrossThreadCounts) {
     return run_des_dpa_campaign(*rtl_, {}, s, /*differential=*/false);
   };
   const DesDpaCampaign serial = campaign(1);
-  const DpaResult serial_r = serial.dpa.analyze(setup.key);
+  const CpaRanking& serial_r = serial.ranking();
   for (int threads : {2, 8}) {
     const DesDpaCampaign par = campaign(threads);
     ASSERT_EQ(par.cycle_energies_pj, serial.cycle_energies_pj)
         << "@ " << threads << " threads";
-    const DpaResult r = par.dpa.analyze(setup.key);
+    const CpaRanking& r = par.ranking();
     EXPECT_EQ(r.best_guess, serial_r.best_guess);
-    EXPECT_EQ(r.disclosed, serial_r.disclosed);
-    ASSERT_EQ(r.peak_to_peak, serial_r.peak_to_peak)
-        << "@ " << threads << " threads";
+    EXPECT_EQ(par.mtd.disclosed, serial.mtd.disclosed);
+    ASSERT_EQ(r.scores, serial_r.scores) << "@ " << threads << " threads";
   }
 }
 
 TEST_F(ParallelDeterminism, GuessSweepBitIdenticalAcrossThreadCounts) {
-  // Synthetic traces; only DpaAnalysis::analyze's guess sweep is parallel.
-  auto analysis = [](int threads) {
-    DpaOptions opts;
+  // Synthetic traces; only the accumulation under the DPA selection
+  // hypothesis is parallel.
+  std::vector<CpaMeasurement> traces;
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) {
+    CpaMeasurement m;
+    m.ct = static_cast<std::uint32_t>(rng.next_below(1024));
+    m.samples.assign(16, 0.0);
+    for (double& s : m.samples) s = rng.next_gaussian();
+    traces.push_back(std::move(m));
+  }
+  auto analysis = [&](int threads) {
+    CpaOptions opts;
     opts.parallelism.n_threads = threads;
-    DpaAnalysis dpa(des_selection(2), opts);
-    Rng rng(11);
-    for (int i = 0; i < 200; ++i) {
-      DpaMeasurement m;
-      m.ciphertext = static_cast<std::uint32_t>(rng.next_below(1024));
-      m.samples.assign(16, 0.0);
-      for (double& s : m.samples) s = rng.next_gaussian();
-      dpa.add_measurement(std::move(m));
-    }
-    return dpa;
+    return cpa_ranking(accumulate_cpa(traces, des_selection(2), opts),
+                       dpa_scores);
   };
-  const DpaResult serial = analysis(1).analyze(46);
+  const CpaRanking serial = analysis(1);
   for (int threads : {2, 8}) {
-    const DpaResult par = analysis(threads).analyze(46);
+    const CpaRanking par = analysis(threads);
     EXPECT_EQ(par.best_guess, serial.best_guess);
-    ASSERT_EQ(par.peak_to_peak, serial.peak_to_peak);
+    ASSERT_EQ(par.scores, serial.scores);
   }
 }
 

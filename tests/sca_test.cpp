@@ -9,8 +9,6 @@
 #include "liberty/builtin_lib.h"
 #include "sca/dfa.h"
 #include "sca/selection.h"
-#include "sca/dpa.h"
-#include "sca/dpa_experiment.h"
 #include "sca/ema.h"
 #include "sca/trace_io.h"
 #include "synth/hdl.h"
@@ -21,63 +19,86 @@
 namespace secflow {
 namespace {
 
-// --- DPA engine on synthetic traces -------------------------------------------
+// --- DPA on the leakage engine, synthetic traces --------------------------------
+
+/// Selection bit `bit` of S(ct ^ guess) as a 0/1 hypothesis.
+HypothesisFn synthetic_selection(int bit = 0) {
+  return [bit](std::uint32_t ct, std::uint32_t, std::uint32_t guess) {
+    return static_cast<double>((des_sbox(1, (ct ^ guess) & 0x3F) >> bit) & 1);
+  };
+}
 
 /// Synthetic leaky device: the "power" at sample 5 is bias + leak when the
 /// selected bit of S(ct ^ key) is 1, plus noise.
-DpaAnalysis make_synthetic_campaign(std::uint32_t key, double leak,
-                                    double noise, int n, int bit = 0) {
-  auto selection = [bit](std::uint32_t ct, std::uint32_t guess) {
-    return ((des_sbox(1, (ct ^ guess) & 0x3F) >> bit) & 1) != 0;
-  };
-  DpaAnalysis dpa(selection);
+std::vector<CpaMeasurement> make_synthetic_campaign(std::uint32_t key,
+                                                    double leak, double noise,
+                                                    int n, int bit = 0) {
+  const HypothesisFn selection = synthetic_selection(bit);
+  std::vector<CpaMeasurement> traces;
   Rng rng(4242);
   for (int i = 0; i < n; ++i) {
-    const std::uint32_t ct = static_cast<std::uint32_t>(rng.next_below(64));
-    DpaMeasurement m;
-    m.ciphertext = ct;
+    CpaMeasurement m;
+    m.ct = static_cast<std::uint32_t>(rng.next_below(64));
     m.samples.assign(16, 0.0);
     for (double& s : m.samples) s = noise * rng.next_gaussian();
-    if (selection(ct, key)) m.samples[5] += leak;
-    dpa.add_measurement(std::move(m));
+    if (selection(m.ct, 0, key) != 0.0) m.samples[5] += leak;
+    traces.push_back(std::move(m));
   }
-  return dpa;
+  return traces;
+}
+
+CpaAccumulator accumulate_dpa(const std::vector<CpaMeasurement>& traces) {
+  return accumulate_cpa(traces, synthetic_selection(), {});
+}
+
+/// DPA MTD on a grid of `step`-wide checkpoints up to every trace; the
+/// disclosure must persist to the last checkpoint.
+int dpa_mtd(const std::vector<CpaMeasurement>& traces, std::uint32_t key,
+            int step) {
+  MtdOptions mtd;
+  mtd.max_traces = static_cast<int>(traces.size());
+  mtd.step = step;
+  mtd.persist = mtd.max_traces / step;
+  const TraceFeeder feeder = [&](int begin, int end) {
+    return std::vector<CpaMeasurement>(traces.begin() + begin,
+                                       traces.begin() + end);
+  };
+  return estimate_mtd(feeder, synthetic_selection(), key, mtd, {}, dpa_scores)
+      .mtd;
 }
 
 TEST(Dpa, RecoversKeyFromLeakyTraces) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 1.0, 0.2, 400);
-  const DpaResult r = dpa.analyze(46);
+  const CpaRanking r = cpa_ranking(
+      accumulate_dpa(make_synthetic_campaign(46, 1.0, 0.2, 400)), dpa_scores);
   EXPECT_EQ(r.best_guess, 46);
-  EXPECT_TRUE(r.disclosed);
+  EXPECT_TRUE(r.disclosed(46, kDisclosureMargin));
 }
 
 TEST(Dpa, NoLeakNoDisclosure) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 0.0, 0.2, 400);
-  const DpaResult r = dpa.analyze(46);
-  EXPECT_FALSE(r.disclosed);
+  const CpaRanking r = cpa_ranking(
+      accumulate_dpa(make_synthetic_campaign(46, 0.0, 0.2, 400)), dpa_scores);
+  EXPECT_FALSE(r.disclosed(46, kDisclosureMargin));
 }
 
 TEST(Dpa, MtdShrinksWithStrongerLeak) {
-  const std::vector<int> grid = {25, 50, 100, 200, 400, 800};
+  // Checkpoints every 25 traces up to 800.
   const int mtd_strong =
-      make_synthetic_campaign(46, 2.0, 0.2, 800).measurements_to_disclosure(
-          46, grid);
+      dpa_mtd(make_synthetic_campaign(46, 2.0, 0.2, 800), 46, 25);
   const int mtd_weak =
-      make_synthetic_campaign(46, 0.35, 0.2, 800).measurements_to_disclosure(
-          46, grid);
+      dpa_mtd(make_synthetic_campaign(46, 0.35, 0.2, 800), 46, 25);
   ASSERT_GT(mtd_strong, 0);
   ASSERT_GT(mtd_weak, 0);
   EXPECT_LT(mtd_strong, mtd_weak);
 }
 
 TEST(Dpa, MtdMinusOneWhenHidden) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 0.0, 0.3, 300);
-  EXPECT_EQ(dpa.measurements_to_disclosure(46, {100, 200, 300}), -1);
+  EXPECT_EQ(dpa_mtd(make_synthetic_campaign(46, 0.0, 0.3, 300), 46, 100), -1);
 }
 
 TEST(Dpa, DifferentialTraceLocatesLeakSample) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 1.0, 0.1, 500);
-  const std::vector<double> diff = dpa.differential_trace(46);
+  const std::vector<double> diff =
+      accumulate_dpa(make_synthetic_campaign(46, 1.0, 0.1, 500))
+          .difference_of_means(46);
   std::size_t argmax = 0;
   for (std::size_t i = 1; i < diff.size(); ++i) {
     if (std::abs(diff[i]) > std::abs(diff[argmax])) argmax = i;
@@ -92,9 +113,9 @@ TEST(Dpa, PeakToPeakHelper) {
 }
 
 TEST(Dpa, RejectsMismatchedTraceLengths) {
-  DpaAnalysis dpa(des_selection(0));
-  dpa.add_measurement({std::vector<double>(8, 0.0), 0});
-  EXPECT_THROW(dpa.add_measurement({std::vector<double>(9, 0.0), 0}), Error);
+  const std::vector<CpaMeasurement> traces = {
+      {std::vector<double>(8, 0.0), 0, 0}, {std::vector<double>(9, 0.0), 0, 0}};
+  EXPECT_THROW(accumulate_cpa(traces, des_selection(0), {}), Error);
 }
 
 // --- EMA ------------------------------------------------------------------------
@@ -241,11 +262,11 @@ TEST_F(DfaTest, MonitorRequiresWddlRegisters) {
 // --- the paper's DPA experiment, reduced scale -----------------------------------
 
 TEST(DesDpaExperiment, SelectionFunctionPacksCiphertext) {
-  const SelectionFn sel = des_selection(2);
+  const HypothesisFn sel = des_selection(2);
   // ct = cl | cr<<4; prediction = bit2 of cl ^ S1(cr ^ guess).
   const std::uint32_t cl = 0b1010, cr = 0b010110;
   const bool expect = ((cl ^ des_sbox(1, cr ^ 46u)) >> 2) & 1;
-  EXPECT_EQ(sel(cl | (cr << 4), 46u), expect);
+  EXPECT_EQ(sel(cl | (cr << 4), 0, 46u), expect ? 1.0 : 0.0);
 }
 
 // --- the shared selection / hypothesis core (sca/selection.h) -------------------
@@ -265,11 +286,11 @@ TEST(Selection, DpaSelectionIsABitOfTheSharedPrediction) {
   // The DPA partition predicate and the CPA hypotheses must derive from
   // the same intermediate — that is the whole point of selection.h.
   for (int bit = 0; bit < 4; ++bit) {
-    const SelectionFn sel = des_selection(bit);
+    const HypothesisFn sel = des_selection(bit);
     for (std::uint32_t ct : {0x0u, 0x1A5u, 0x2FFu, 0x173u}) {
       for (std::uint32_t g : {0u, 17u, 46u, 63u}) {
-        EXPECT_EQ(sel(ct, g),
-                  ((des_predict_pl(ct, g) >> bit) & 1u) != 0);
+        EXPECT_EQ(sel(ct, 0, g),
+                  static_cast<double>((des_predict_pl(ct, g) >> bit) & 1u));
       }
     }
   }
@@ -306,7 +327,6 @@ TEST(Selection, DpaAndCpaRecoverTheSameKeyThroughTheSharedCore) {
   // des_hypothesis) must both converge on the planted key.
   const std::uint32_t key = 46;
   Rng rng(991);
-  DpaAnalysis dpa(des_selection(0));
   std::vector<CpaMeasurement> cpa_traces;
   for (int i = 0; i < 600; ++i) {
     const std::uint32_t ct = static_cast<std::uint32_t>(rng.next_below(1024));
@@ -315,19 +335,16 @@ TEST(Selection, DpaAndCpaRecoverTheSameKeyThroughTheSharedCore) {
     std::vector<double> samples(8);
     for (double& s : samples) s = 0.3 * rng.next_gaussian();
     samples[3] += leak;
-    DpaMeasurement dm;
-    dm.ciphertext = ct;
-    dm.samples = samples;
-    dpa.add_measurement(std::move(dm));
     CpaMeasurement cm;
     cm.ct = ct;
     cm.prev_ct = 0;
     cm.samples = std::move(samples);
     cpa_traces.push_back(std::move(cm));
   }
-  const DpaResult dr = dpa.analyze(key);
+  const CpaRanking dr = cpa_ranking(
+      accumulate_cpa(cpa_traces, des_selection(0), {}), dpa_scores);
   EXPECT_EQ(dr.best_guess, static_cast<int>(key));
-  EXPECT_TRUE(dr.disclosed);
+  EXPECT_TRUE(dr.disclosed(key, kDisclosureMargin));
   const CpaAccumulator acc = accumulate_cpa(
       cpa_traces, des_hypothesis(PowerModel::kHammingWeight), {});
   const CpaRanking cr = cpa_ranking(acc);
