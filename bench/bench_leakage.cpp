@@ -2,7 +2,9 @@
 // (traces/s through the streaming CPA and TVLA statistics), the
 // shard-merge cost, and the full DES assessment — CPA ranking, TVLA
 // verdict and MTD on both flows at the calibrated attack point, with the
-// cold-vs-warm trace-cache replay speedup.
+// number of trace blocks each cold run simulated and the cold-vs-warm
+// trace-cache replay speedup.  Exits non-zero when MTD(secure) does not
+// exceed MTD(regular); `--json <path>` writes the metrics.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -125,13 +127,16 @@ int main(int argc, char** argv) {
                        /*differential=*/true, sec_setup);
   });
 
-  bench::row("regular: CPA rank %d, TVLA max|t| %.2f, MTD %d  (%.0f ms)",
+  bench::row("regular: CPA rank %d, TVLA max|t| %.2f, MTD %d  (%.0f ms, "
+             "%lld blocks simulated)",
              static_cast<int>(reg.cpa.correct_rank), reg.tvla.max_abs_t,
-             static_cast<int>(reg.mtd.mtd), reg_cold_ms);
-  bench::row("secure:  CPA rank %d, TVLA max|t| %.2f, MTD %s  (%.0f ms)",
+             static_cast<int>(reg.mtd.mtd), reg_cold_ms,
+             static_cast<long long>(reg.trace_cache_misses));
+  bench::row("secure:  CPA rank %d, TVLA max|t| %.2f, MTD %s  (%.0f ms, "
+             "%lld blocks simulated)",
              static_cast<int>(sec.cpa.correct_rank), sec.tvla.max_abs_t,
              sec.mtd.mtd < 0 ? "hidden" : std::to_string(sec.mtd.mtd).c_str(),
-             sec_cold_ms);
+             sec_cold_ms, static_cast<long long>(sec.trace_cache_misses));
   bench::row("warm trace-cache replay: %.0f ms (%.1fx faster than cold)",
              sec_warm_ms, sec_cold_ms / sec_warm_ms);
   const bool headline = mtd_exceeds(static_cast<int>(sec.mtd.mtd),
@@ -144,10 +149,14 @@ int main(int argc, char** argv) {
   report.metric("des.regular.mtd", static_cast<double>(reg.mtd.mtd));
   report.metric("des.regular.tvla_max_abs_t", reg.tvla.max_abs_t);
   report.metric("des.regular.cold_ms", reg_cold_ms);
+  report.metric("des.regular.blocks_simulated",
+                static_cast<double>(reg.trace_cache_misses));
   report.metric("des.secure.cpa_rank", static_cast<double>(sec.cpa.correct_rank));
   report.metric("des.secure.mtd", static_cast<double>(sec.mtd.mtd));
   report.metric("des.secure.tvla_max_abs_t", sec.tvla.max_abs_t);
   report.metric("des.secure.cold_ms", sec_cold_ms);
+  report.metric("des.secure.blocks_simulated",
+                static_cast<double>(sec.trace_cache_misses));
   report.metric("des.secure.warm_ms", sec_warm_ms);
   report.metric("des.cache_replay_speedup", sec_cold_ms / sec_warm_ms);
   report.metric("des.mtd_secure_exceeds_regular", headline ? 1.0 : 0.0);

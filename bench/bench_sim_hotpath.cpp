@@ -42,11 +42,11 @@ void drive_random(PowerSimulator& sim, const DesPortMap& ports, Rng& rng) {
 double dpa4_trace(PowerSimulator& sim, const DesPortMap& ports, Rng& rng) {
   drive_random(sim, ports, rng);
   sim.settle();
-  sim.run_cycle();
+  sim.advance_cycle();
   drive_random(sim, ports, rng);
-  sim.run_cycle();
+  sim.advance_cycle();
   const CycleTrace t = sim.run_cycle();
-  sim.run_cycle();
+  sim.advance_cycle();
   return t.energy_pj;
 }
 

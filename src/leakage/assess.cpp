@@ -235,15 +235,15 @@ SimTrace des_cpa_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
   ports.drive(sim, ports.pl, prev_pl);
   ports.drive(sim, ports.pr, prev_pr);
   sim.settle();
-  sim.run_cycle();
+  sim.advance_cycle();
   ports.drive(sim, ports.pl, pl);
   ports.drive(sim, ports.pr, pr);
-  sim.run_cycle();
+  sim.advance_cycle();
   SimTrace out;
   out.cycle = sim.run_cycle();
   const std::uint32_t prev_ct =
       ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
-  sim.run_cycle();
+  sim.advance_cycle();
   const std::uint32_t ct =
       ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
   out.observable = ct | (prev_ct << 10);
@@ -271,10 +271,10 @@ SimTrace des_tvla_trace(PowerSimulator& sim, Rng& rng,
   ports.drive(sim, ports.pl, prev_pl);
   ports.drive(sim, ports.pr, prev_pr);
   sim.settle();
-  sim.run_cycle();
+  sim.advance_cycle();
   ports.drive(sim, ports.pl, pl);
   ports.drive(sim, ports.pr, pr);
-  sim.run_cycle();
+  sim.advance_cycle();
   SimTrace out;
   out.cycle = sim.run_cycle();
   if (s.noise_ma > 0.0) {
@@ -323,7 +323,7 @@ SimTrace generic_tvla_trace(PowerSimulator& sim, Rng& rng,
                             const LeakageSetup& s, bool fixed) {
   for (const DesBitPorts& lane : lanes) drive_lane(sim, lane, rng.next_bool());
   sim.settle();
-  sim.run_cycle();
+  sim.advance_cycle();
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     const bool rnd = rng.next_bool();  // consumed in both classes
     drive_lane(sim, lanes[i], fixed ? fixed_bits[i] != 0 : rnd);
@@ -385,22 +385,23 @@ CpaOptions cpa_options(const LeakageSetup& s) {
   return opts;
 }
 
+/// `traces` receives the CPA traces [0, cpa_traces) for the MTD phase.
 CpaSummary run_cpa_phase(const CompiledSimModel& model, TraceCache& cache,
                          const LeakageSetup& s, bool differential,
-                         const HypothesisFn& hyp, const AbsTraceTask& task) {
+                         const HypothesisFn& hyp, const AbsTraceTask& task,
+                         std::vector<CpaMeasurement>* traces) {
   Span span("leakage.cpa", "leakage");
   span.arg("traces", s.cpa_traces);
   span.arg("model", power_model_name(s.model));
-  const std::vector<CpaMeasurement> traces =
-      fetch_range(model, cache, "cpa", s, differential, 0, 0, s.cpa_traces,
-                  std::max(s.mtd.step, 1), task);
-  const CpaAccumulator acc = accumulate_cpa(traces, hyp, cpa_options(s));
+  *traces = fetch_range(model, cache, "cpa", s, differential, 0, 0,
+                        s.cpa_traces, std::max(s.mtd.step, 1), task);
+  const CpaAccumulator acc = accumulate_cpa(*traces, hyp, cpa_options(s));
   const CpaRanking ranking = cpa_ranking(acc);
 
   CpaSummary out;
   out.present = true;
   out.model = power_model_name(s.model);
-  out.n_traces = static_cast<std::int64_t>(traces.size());
+  out.n_traces = static_cast<std::int64_t>(traces->size());
   out.best_guess = ranking.best_guess;
   out.best_score = ranking.best_score;
   out.runner_up_score = ranking.runner_up_score;
@@ -467,14 +468,20 @@ GeSummary run_ge_phase(const CompiledSimModel& model, TraceCache& cache,
   return out;
 }
 
+/// MTD feeds the CPA phase's trace stream (stream_base 0).  Ranges inside
+/// `cpa_traces` are served from memory; a range that reaches past it is
+/// fetched like a CPA range, under the same block keys.
 MtdSummary run_mtd_phase(const CompiledSimModel& model, TraceCache& cache,
                          const LeakageSetup& s, bool differential,
-                         const HypothesisFn& hyp, const AbsTraceTask& task) {
+                         const HypothesisFn& hyp, const AbsTraceTask& task,
+                         const std::vector<CpaMeasurement>& cpa_traces) {
   Span span("leakage.mtd", "leakage");
   span.arg("max_traces", s.mtd.max_traces);
   const TraceFeeder feeder = [&](int begin, int end) {
-    // stream_base 0: the same trace stream the CPA phase used, so warm
-    // cache blocks are shared between the two phases.
+    if (end <= static_cast<int>(cpa_traces.size())) {
+      return std::vector<CpaMeasurement>(cpa_traces.begin() + begin,
+                                         cpa_traces.begin() + end);
+    }
     return fetch_range(model, cache, "cpa", s, differential, 0, begin, end,
                        std::max(s.mtd.step, 1), task);
   };
@@ -568,12 +575,15 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
     const AbsTraceTask task = [&](PowerSimulator& sim, Rng& rng, int) {
       return des_cpa_trace(sim, rng, ports, setup.key, setup.noise_ma);
     };
-    r.cpa = run_cpa_phase(model, cache, setup, differential, hyp, task);
+    std::vector<CpaMeasurement> cpa_traces;
+    r.cpa = run_cpa_phase(model, cache, setup, differential, hyp, task,
+                          &cpa_traces);
     if (setup.ge_campaigns > 0) {
       r.ge = run_ge_phase(model, cache, setup, differential, hyp, task);
     }
     if (setup.with_mtd) {
-      r.mtd = run_mtd_phase(model, cache, setup, differential, hyp, task);
+      r.mtd = run_mtd_phase(model, cache, setup, differential, hyp, task,
+                            cpa_traces);
     }
   }
   r.trace_cache_hits = cache.hits;

@@ -20,8 +20,10 @@
 // each block is checkpointed in the ArtifactStore under a content-address
 // chained from the flow's extraction-stage key (LeakageSetup::base_key),
 // so a re-assessment of an unchanged design replays traces from disk
-// instead of re-simulating.  Per-phase obs spans and metrics are emitted
-// throughout.
+// instead of re-simulating.  Within one assessment each trace is
+// synthesized once: the MTD phase reads the CPA phase's traces from memory
+// and fetches only the ranges past them.  Per-phase obs spans and metrics
+// are emitted throughout.
 #pragma once
 
 #include <cstdint>

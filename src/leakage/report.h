@@ -93,6 +93,8 @@ struct LeakageReport {
   GeSummary ge;
   MtdSummary mtd;
 
+  /// Trace blocks replayed from the cache / simulated by this run.  MTD
+  /// ranges served from the CPA phase's traces count as neither.
   std::int64_t trace_cache_hits = 0;
   std::int64_t trace_cache_misses = 0;
 

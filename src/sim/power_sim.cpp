@@ -179,12 +179,21 @@ void PowerSimulator::capture_flops(bool rising) {
 }
 
 CycleTrace PowerSimulator::run_cycle(double period_ps) {
-  const double period =
-      period_ps > 0.0 ? period_ps : model_.nominal_period_ps();
-  const PowerSimOptions& opts = model_.options();
   CycleTrace trace;
   trace.current_ma.assign(
       static_cast<std::size_t>(model_.samples_per_cycle()), 0.0);
+  cycle(period_ps, &trace);
+  return trace;
+}
+
+void PowerSimulator::advance_cycle(double period_ps) {
+  cycle(period_ps, nullptr);
+}
+
+void PowerSimulator::cycle(double period_ps, CycleTrace* trace) {
+  const double period =
+      period_ps > 0.0 ? period_ps : model_.nominal_period_ps();
+  const PowerSimOptions& opts = model_.options();
   const double start = now_ps_;
 
   // Rising edge.
@@ -197,7 +206,7 @@ CycleTrace PowerSimulator::run_cycle(double period_ps) {
              input_val_[di.port.index()] != 0);
   }
   now_ps_ = start;
-  drain_until(start + period / 2, &trace, start);
+  drain_until(start + period / 2, trace, start);
   now_ps_ = start + period / 2;
   mid_val_ = net_val_;
 
@@ -211,9 +220,8 @@ CycleTrace PowerSimulator::run_cycle(double period_ps) {
       schedule(now_ps_ + opts.input_delay_ps, di.net, false);
     }
   }
-  drain_until(start + period, &trace, start);
+  drain_until(start + period, trace, start);
   now_ps_ = start + period;
-  return trace;
 }
 
 bool PowerSimulator::net_value(const std::string& net) const {

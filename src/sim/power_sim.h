@@ -65,6 +65,12 @@ class PowerSimulator {
   /// current trace.
   CycleTrace run_cycle(double period_ps = 0.0);
 
+  /// Simulate one full clock cycle without recording it: net values,
+  /// output_at_eval, flop state and event order end exactly as after
+  /// run_cycle(period_ps), but no trace is built and no charge is booked.
+  /// For set-up and flush cycles whose trace would be discarded.
+  void advance_cycle(double period_ps = 0.0);
+
   /// Settled value of a net / output port after the last cycle.
   bool net_value(const std::string& net) const;
   bool net_value(NetId net) const;
@@ -96,6 +102,7 @@ class PowerSimulator {
     }
   };
 
+  void cycle(double period_ps, CycleTrace* trace);
   void schedule(double t, NetId net, bool value);
   void apply_event(const Event& ev, CycleTrace* trace, double t_offset);
   void deposit_charge(CycleTrace& trace, double t_ps,

@@ -148,7 +148,7 @@ TEST_F(DesFlows, SecureObservablesAreFunctionallyCorrect) {
       sim.set_input("pr_" + std::to_string(b) + "_t", (pr >> b) & 1);
       sim.set_input("pr_" + std::to_string(b) + "_f", !((pr >> b) & 1));
     }
-    sim.run_cycle();
+    sim.advance_cycle();
     if (cycle >= 4) {
       std::uint32_t cl = 0, cr = 0;
       for (int b = 0; b < 4; ++b) {

@@ -13,6 +13,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 
 #include "base/rng.h"
 #include "crypto/des.h"
@@ -23,6 +26,7 @@
 #include "leakage/report.h"
 #include "leakage/tvla.h"
 #include "liberty/builtin_lib.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "sca/selection.h"
 #include "synth/hdl.h"
@@ -689,6 +693,150 @@ TEST_F(DesLeakage, DpaCampaignBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(par.cycle_energies_pj, serial.cycle_energies_pj)
         << "@ " << threads << " threads";
   }
+}
+
+// ---------------------------------------------------------------------
+// MTD reuses the CPA phase's traces: only blocks past the CPA budget are
+// simulated, and the statistics and cache files are those of a run that
+// fetches every MTD range.
+
+struct CountedReport {
+  LeakageReport report;
+  std::uint64_t traces_simulated = 0;  ///< leakage.traces_simulated
+};
+
+CountedReport assess_counting(const CompiledSimModel& model, bool differential,
+                              const LeakageSetup& s) {
+  Metrics& metrics = Metrics::global();
+  const bool was_enabled = metrics.enabled();
+  metrics.reset();
+  metrics.set_enabled(true);
+  CountedReport out;
+  out.report = assess_des_leakage(model, differential, s);
+  const MetricsSnapshot snap = metrics.snapshot();
+  metrics.set_enabled(was_enabled);
+  metrics.reset();
+  const auto it = snap.counters.find("leakage.traces_simulated");
+  if (it != snap.counters.end()) out.traces_simulated = it->second;
+  return out;
+}
+
+/// Every file under `dir`, by relative path, with its bytes.
+std::map<std::string, std::string> dir_files(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!e.is_regular_file()) continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    out[std::filesystem::relative(e.path(), dir).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return out;
+}
+
+/// The MTD section of `s` on `model`, rebuilt from estimate_mtd fed by the
+/// uncached DES trace stream (des_dpa_traces) on the same seed, key and
+/// noise.
+MtdSummary reference_mtd(const CompiledSimModel& model, bool differential,
+                         const LeakageSetup& s) {
+  DesDpaSetup d;
+  d.seed = s.seed;
+  d.key = s.key;
+  d.sbox = s.sbox;
+  d.noise_ma = s.noise_ma;
+  const TraceFeeder feeder = [&](int begin, int end) {
+    return des_dpa_traces(model, differential, d, begin, end);
+  };
+  CpaOptions opts;
+  opts.margin = s.margin;
+  const MtdResult r = estimate_mtd(feeder, des_hypothesis(s.model, s.sbox),
+                                   s.key, s.mtd, opts);
+  MtdSummary out;
+  out.present = true;
+  out.mtd = r.mtd;
+  out.max_traces = s.mtd.max_traces;
+  out.step = s.mtd.step;
+  out.persist = s.mtd.persist;
+  out.traces_fed = r.traces_fed;
+  out.disclosed = r.disclosed;
+  out.checkpoints.assign(r.checkpoints.begin(), r.checkpoints.end());
+  out.ranks.assign(r.ranks.begin(), r.ranks.end());
+  return out;
+}
+
+TEST_F(DesLeakage, MtdOnReusedCpaTracesMatchesReferenceStream) {
+  // cpa_traces 400, MTD to 600 in steps of 200: two checkpoints come from
+  // the CPA traces in memory, the third from a freshly simulated block.
+  LeakageSetup s = setup(0);
+  s.cache_dir.clear();
+  s.with_tvla = false;
+  const CompiledSimModel reg = compile_power_model(*regular_);
+  const CompiledSimModel sec = compile_power_model(*secure_);
+  const LeakageReport r_reg = assess_des_leakage(reg, false, s);
+  const LeakageReport r_sec = assess_des_leakage(sec, true, s);
+  ASSERT_EQ(r_reg.mtd.traces_fed, 600);
+  ASSERT_EQ(r_sec.mtd.traces_fed, 600);
+  EXPECT_EQ(r_reg.mtd, reference_mtd(reg, false, s));
+  EXPECT_EQ(r_sec.mtd, reference_mtd(sec, true, s));
+}
+
+TEST_F(DesLeakage, UncachedMtdWithinCpaBudgetSimulatesNoMoreTraces) {
+  LeakageSetup s = setup(0);
+  s.cache_dir.clear();
+  s.mtd.max_traces = s.cpa_traces;  // 400, in steps of 200
+  const CountedReport c =
+      assess_counting(compile_power_model(*secure_), true, s);
+  ASSERT_EQ(c.report.mtd.traces_fed, 400);  // the key stays hidden
+  // 1 TVLA block + 2 CPA blocks; MTD reads the CPA traces.
+  EXPECT_EQ(c.report.trace_cache_hits, 0);
+  EXPECT_EQ(c.report.trace_cache_misses, 3);
+  EXPECT_EQ(c.traces_simulated, 200u + 400u);
+}
+
+TEST_F(DesLeakage, MtdPastCpaBudgetSimulatesOnlyTheTail) {
+  // The step does not divide cpa_traces: CPA fetches [0,100) [100,200)
+  // [200,250); MTD feeds [0,100) [100,200) from memory and fetches
+  // [200,300) [300,400) under their own block keys.
+  LeakageSetup s = setup(0);
+  s.with_tvla = false;
+  s.cpa_traces = 250;
+  s.mtd.max_traces = 400;
+  s.mtd.step = 100;
+  s.mtd.persist = 4;  // never stops before the budget
+  s.base_key = regular_->timings.key(FlowStage::kExtraction);
+  const CompiledSimModel model = compile_power_model(*regular_);
+
+  LeakageSetup uncached = s;
+  uncached.cache_dir.clear();
+  const CountedReport c = assess_counting(model, false, uncached);
+  ASSERT_EQ(c.report.mtd.traces_fed, 400);
+  EXPECT_EQ(c.report.trace_cache_misses, 3 + 2);
+  EXPECT_EQ(c.traces_simulated, 250u + 200u);
+
+  // Cold cached run: the same blocks simulated, none replayed, the same
+  // statistics.
+  const std::string root = cache_dir_ + "_mtd_tail";
+  std::filesystem::remove_all(root);
+  LeakageSetup cached = s;
+  cached.cache_dir = root + "/reuse";
+  const LeakageReport r = assess_des_leakage(model, false, cached);
+  EXPECT_EQ(r.trace_cache_hits, 0);
+  EXPECT_EQ(r.trace_cache_misses, 3 + 2);
+  EXPECT_EQ(r.cpa, c.report.cpa);
+  EXPECT_EQ(r.mtd, c.report.mtd);
+
+  // A run that fetches every MTD range leaves CPA's blocks plus the
+  // step-aligned blocks [0,400): a CPA-only run at 250 traces and one at
+  // 400 traces make exactly that set.
+  LeakageSetup refetch = s;
+  refetch.cache_dir = root + "/refetch";
+  refetch.with_mtd = false;
+  assess_des_leakage(model, false, refetch);
+  refetch.cpa_traces = s.mtd.max_traces;
+  assess_des_leakage(model, false, refetch);
+  const std::map<std::string, std::string> got = dir_files(cached.cache_dir);
+  EXPECT_EQ(got.size(), 5u);
+  EXPECT_EQ(got, dir_files(refetch.cache_dir));
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

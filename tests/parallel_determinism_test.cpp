@@ -53,13 +53,13 @@ std::vector<SimTrace> encrypt_traces(const Netlist& nl, int n, int threads) {
     drive("pl", 4, static_cast<std::uint32_t>(rng.next_below(16)));
     drive("pr", 6, static_cast<std::uint32_t>(rng.next_below(64)));
     sim.settle();
-    sim.run_cycle();
+    sim.advance_cycle();
     drive("pl", 4, static_cast<std::uint32_t>(rng.next_below(16)));
     drive("pr", 6, static_cast<std::uint32_t>(rng.next_below(64)));
-    sim.run_cycle();
+    sim.advance_cycle();
     SimTrace out;
     out.cycle = sim.run_cycle();
-    sim.run_cycle();
+    sim.advance_cycle();
     for (int i = 0; i < 4; ++i) {
       if (sim.output("cl_" + std::to_string(i))) out.observable |= 1u << i;
     }

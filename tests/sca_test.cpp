@@ -218,10 +218,10 @@ TEST_F(DfaTest, NormalOperationRaisesNoAlarm) {
     }
   };
   drive(0b0101);
-  sim.run_cycle();
+  sim.advance_cycle();
   drive(0b1110);
-  sim.run_cycle();
-  sim.run_cycle();
+  sim.advance_cycle();
+  sim.advance_cycle();
   EXPECT_TRUE(monitor.check(sim).empty());
 }
 
@@ -238,11 +238,11 @@ TEST_F(DfaTest, ClockGlitchTriggersAlarm) {
     }
   };
   drive(0b0101);
-  sim.run_cycle();
+  sim.advance_cycle();
   drive(0b1010);
   // Glitch: the period is far too short for the evaluation wave to reach
   // the register; masters capture (0,0).
-  sim.run_cycle(300.0);
+  sim.advance_cycle(300.0);
   const auto alarms = monitor.check(sim);
   ASSERT_FALSE(alarms.empty());
   EXPECT_TRUE(alarms[0].both_zero);

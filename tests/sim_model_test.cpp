@@ -8,7 +8,9 @@
 //   * the exp-recurrence charge deposit conserves the total charge and
 //     matches the two-exp closed form per sample;
 //   * id-based accessors agree with the string API, and the legacy
-//     (netlist, caps, opts) constructor behaves like an explicit model.
+//     (netlist, caps, opts) constructor behaves like an explicit model;
+//   * an unrecorded advance_cycle() leaves exactly the state run_cycle()
+//     leaves, so the next recorded cycle is bit-identical.
 //
 //   cmake -B build-tsan -DSECFLOW_SANITIZE=thread && ctest -R Parallel
 #include "sim/sim_model.h"
@@ -22,10 +24,14 @@
 #include "base/error.h"
 #include "base/rng.h"
 #include "crypto/des.h"
+#include "flow/flow.h"
+#include "leakage/assess.h"
 #include "liberty/builtin_lib.h"
 #include "sim/trace_sim.h"
 #include "synth/hdl.h"
 #include "synth/techmap.h"
+#include "wddl/cell_substitution.h"
+#include "wddl/wddl_library.h"
 
 namespace secflow {
 namespace {
@@ -78,13 +84,13 @@ TraceTask des_task(const CompiledSimModel& model) {
     drive((*ports)[1], static_cast<std::uint32_t>(rng.next_below(16)));
     drive((*ports)[2], static_cast<std::uint32_t>(rng.next_below(64)));
     sim.settle();
-    sim.run_cycle();
+    sim.advance_cycle();
     drive((*ports)[1], static_cast<std::uint32_t>(rng.next_below(16)));
     drive((*ports)[2], static_cast<std::uint32_t>(rng.next_below(64)));
-    sim.run_cycle();
+    sim.advance_cycle();
     SimTrace out;
     out.cycle = sim.run_cycle();
-    sim.run_cycle();
+    sim.advance_cycle();
     for (std::size_t i = 0; i < (*ports)[3].size(); ++i) {
       if (sim.output((*ports)[3][i])) out.observable |= 1u << i;
     }
@@ -286,6 +292,100 @@ TEST_F(ParallelSimModel, LegacyConstructorMatchesExplicitModel) {
     EXPECT_EQ(te.transitions, tl.transitions);
     ASSERT_EQ(te.current_ma, tl.current_ma);
   }
+}
+
+/// Step two simulators of one model through the same random DES stimuli,
+/// `adv` unrecorded (advance_cycle) and `run` recorded (run_cycle), then
+/// record one cycle on both.  Every net, eval-phase output and flop must
+/// agree after each cycle, and the recorded cycles must be bit-identical.
+void expect_advance_matches_run(const CompiledSimModel& model,
+                                bool differential, double period_ps) {
+  const Netlist& nl = model.netlist();
+  const DesPortMap ports = DesPortMap::resolve(nl, differential);
+  std::vector<PortId> outputs;
+  for (PortId id : nl.port_ids()) {
+    if (nl.port(id).dir == PinDir::kOutput) outputs.push_back(id);
+  }
+  std::vector<InstId> flops;
+  for (InstId id : nl.instance_ids()) {
+    if (nl.cell_of(id).kind == CellKind::kFlop) flops.push_back(id);
+  }
+  ASSERT_FALSE(flops.empty());
+
+  const std::string what = std::string(differential ? "secure" : "regular") +
+                           " @ period " + std::to_string(period_ps);
+  auto expect_same_state = [&](const PowerSimulator& a,
+                               const PowerSimulator& b, int cycle) {
+    for (std::size_t n = 0; n < model.n_nets(); ++n) {
+      const NetId id(static_cast<std::int32_t>(n));
+      ASSERT_EQ(a.net_value(id), b.net_value(id))
+          << what << ", cycle " << cycle << ", net " << nl.net(id).name;
+    }
+    for (PortId id : outputs) {
+      ASSERT_EQ(a.output_at_eval(id), b.output_at_eval(id))
+          << what << ", cycle " << cycle << ", port " << nl.port(id).name;
+    }
+    for (InstId id : flops) {
+      ASSERT_EQ(a.flop_state(id), b.flop_state(id))
+          << what << ", cycle " << cycle << ", flop "
+          << nl.instance(id).name;
+    }
+  };
+
+  PowerSimulator adv(model);
+  PowerSimulator run(model);
+  Rng rng(2718);
+  auto drive_both = [&] {
+    const auto k = static_cast<std::uint32_t>(rng.next_below(64));
+    const auto pl = static_cast<std::uint32_t>(rng.next_below(16));
+    const auto pr = static_cast<std::uint32_t>(rng.next_below(64));
+    for (PowerSimulator* sim : {&adv, &run}) {
+      ports.drive(*sim, ports.k, k);
+      ports.drive(*sim, ports.pl, pl);
+      ports.drive(*sim, ports.pr, pr);
+    }
+  };
+  drive_both();
+  adv.settle();
+  run.settle();
+  int recorded_active = 0;
+  for (int cycle = 0; cycle < 24; cycle += 2) {
+    drive_both();
+    adv.advance_cycle(period_ps);
+    run.run_cycle(period_ps);
+    expect_same_state(adv, run, cycle);
+
+    drive_both();
+    const CycleTrace ta = adv.run_cycle(period_ps);
+    const CycleTrace tr = run.run_cycle(period_ps);
+    expect_same_state(adv, run, cycle + 1);
+    EXPECT_EQ(ta.energy_pj, tr.energy_pj) << what << ", cycle " << cycle + 1;
+    EXPECT_EQ(ta.transitions, tr.transitions)
+        << what << ", cycle " << cycle + 1;
+    ASSERT_EQ(ta.current_ma, tr.current_ma) << what << ", cycle " << cycle + 1;
+    if (ta.energy_pj > 0.0) ++recorded_active;
+  }
+  EXPECT_GT(recorded_active, 0) << what;
+}
+
+TEST_F(ParallelSimModel, AdvanceCycleMatchesRunCycleOnRegularDes) {
+  const CompiledSimModel model(*rtl_, {}, PowerSimOptions{});
+  expect_advance_matches_run(model, /*differential=*/false, 0.0);
+  // A short period leaves events in flight across the clock edges.
+  expect_advance_matches_run(model, /*differential=*/false, 300.0);
+}
+
+TEST_F(ParallelSimModel, AdvanceCycleMatchesRunCycleOnSecureDes) {
+  WddlLibrary wlib(lib_);
+  const Netlist rtl = technology_map(make_des_dpa_circuit(), lib_,
+                                     wddl_synth_constraints());
+  const Netlist diff = expand_differential(substitute_cells(rtl, wlib).fat,
+                                           wlib);
+  PowerSimOptions opts;
+  opts.precharge_inputs = true;
+  const CompiledSimModel model(diff, {}, opts);
+  expect_advance_matches_run(model, /*differential=*/true, 0.0);
+  expect_advance_matches_run(model, /*differential=*/true, 300.0);
 }
 
 }  // namespace
